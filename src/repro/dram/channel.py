@@ -55,6 +55,10 @@ class DramRequest:
     row: int = field(default=0, init=False)
 
 
+#: Larger than any bank-ready time (the empty-window minimum).
+_NEVER = 1 << 62
+
+
 class _Bank:
     __slots__ = ("ready_at", "open_row", "last_activate")
 
@@ -101,6 +105,16 @@ class MemoryChannel:
         self._last_was_write = False
         self._wakeup_scheduled = False
         self._next_refresh = timing.t_refi if timing.refresh_enabled else None
+        #: Scheduler memo of the last failed FR-FCFS scan (see
+        #: :meth:`_choose`): until ``_blocked_until`` every tick would
+        #: fail the same way, so it only re-books the wakeup for
+        #: ``_soonest`` (lazily computed).  Everything the scan reads --
+        #: the queues, bank ready times and open rows -- changes only in
+        #: :meth:`enqueue`, :meth:`_issue` and :meth:`_maybe_refresh`,
+        #: which clear it; :meth:`_update_mode` is idempotent while the
+        #: queue lengths are fixed.
+        self._blocked_until = 0
+        self._soonest: Optional[int] = None
         #: Opt-in per-bank row-locality view; set exclusively by
         #: :class:`repro.obs.inspect.MemoryInspector`.  The hook in
         #: :meth:`_issue` guards on it, so disabled runs only pay one
@@ -129,6 +143,7 @@ class MemoryChannel:
     def enqueue(self, request: DramRequest) -> None:
         """Submit a request; its callback fires at data-return time."""
         request.enqueue_time = self.sim.now
+        self._blocked_until = 0
         frame = request.addr // self.timing.row_bytes
         request.bank = frame % self.timing.banks
         request.row = frame // self.timing.banks
@@ -180,26 +195,41 @@ class MemoryChannel:
         self._wakeup_scheduled = False
         now = self.sim.now
         self._maybe_refresh(now)
+        if now < self._blocked_until:
+            # Nothing changed since the last failed scan: it would fail
+            # again and book the same wakeup.
+            self._wake(max(1, self._soonest_ready() - now))
+            return
         while self._read_q or self._write_q:
             self._update_mode()
             queue = self._write_q if self._write_mode else self._read_q
             chosen = self._choose(queue, now)
             if chosen is None:
-                self._sleep_until_ready(now)
+                if not self._wakeup_scheduled:
+                    self._wake(max(1, self._soonest_ready() - now))
                 return
             self._issue(chosen, now)
             now = self.sim.now  # unchanged; issue just books future times
 
     def _choose(self, queue: List[DramRequest],
                 now: int) -> Optional[DramRequest]:
-        """FR-FCFS over a bounded window of one queue."""
+        """FR-FCFS over a bounded window of one queue.
+
+        On failure, records the scheduler memo: ``_blocked_until``, the
+        earliest time a bank of this window frees up (nothing in the
+        window is issuable before it).
+        """
         best_idx = -1
+        blocked = _NEVER
         banks = self._banks
         limit = min(len(queue), self.SCHED_WINDOW)
         for idx in range(limit):
             req = queue[idx]
             bank = banks[req.bank]
-            if bank.ready_at > now:
+            ready = bank.ready_at
+            if ready > now:
+                if ready < blocked:
+                    blocked = ready
                 continue
             if bank.open_row == req.row:
                 best_idx = idx
@@ -207,17 +237,27 @@ class MemoryChannel:
             if best_idx < 0:
                 best_idx = idx
         if best_idx < 0:
+            self._blocked_until = blocked
+            self._soonest = None
             return None
         return queue.pop(best_idx)
 
-    def _sleep_until_ready(self, now: int) -> None:
-        banks = self._banks
-        pending = (self._read_q[: self.SCHED_WINDOW]
-                   + self._write_q[: self.SCHED_WINDOW])
-        soonest = min(banks[r.bank].ready_at for r in pending)
-        self._wake(max(1, soonest - now))
+    def _soonest_ready(self) -> int:
+        """Earliest bank-ready time over both windows, computed once per
+        memo (the scanned window's part is ``_blocked_until``)."""
+        if self._soonest is None:
+            other = self._read_q if self._write_mode else self._write_q
+            banks = self._banks
+            soonest = self._blocked_until
+            for idx in range(min(len(other), self.SCHED_WINDOW)):
+                ready = banks[other[idx].bank].ready_at
+                if ready < soonest:
+                    soonest = ready
+            self._soonest = soonest
+        return self._soonest
 
     def _issue(self, req: DramRequest, now: int) -> None:
+        self._blocked_until = 0
         t = self.timing
         bank = self._banks[req.bank]
 
@@ -285,6 +325,7 @@ class MemoryChannel:
             return
         t = self.timing
         # Blackout: all banks unavailable for t_rfc, rows closed.
+        self._blocked_until = 0
         end = now + t.t_rfc
         for bank in self._banks:
             bank.ready_at = max(bank.ready_at, end)

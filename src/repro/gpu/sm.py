@@ -23,13 +23,14 @@ from collections import deque
 from typing import Callable, Deque, Iterator, List, Optional, Tuple
 
 from repro.cache.mshr import MshrFile
+from repro.cache.replacement import ReplacementPolicy
 from repro.cache.sectored import SectoredCache
 from repro.gpu.coalescer import coalesce, coalesce_summary
 from repro.gpu.crossbar import Crossbar
 from repro.gpu.trace import ComputeOp, MemoryOp, WarpOp
 from repro.sim.engine import Simulator
 from repro.sim.resources import OccupancyLimiter
-from repro.sim.stats import StatGroup
+from repro.sim.stats import Counter, StatGroup
 
 
 class _WarpState(enum.Enum):
@@ -41,7 +42,8 @@ class _WarpState(enum.Enum):
 
 class _Warp:
     __slots__ = ("warp_id", "ops", "state", "txns", "next_txn",
-                 "outstanding", "is_store_op", "is_atomic_op", "mem_start")
+                 "outstanding", "is_store_op", "is_atomic_op", "mem_start",
+                 "stall_epoch", "stall_deltas", "stall_touch")
 
     def __init__(self, warp_id: int, ops: Iterator[WarpOp]):
         self.warp_id = warp_id
@@ -55,6 +57,13 @@ class _Warp:
         #: Trace-only: issue time of the in-flight memory op (None when
         #: tracing is off or no memory op is in flight).
         self.mem_start: Optional[int] = None
+        #: Memo of the last failed issue attempt (see
+        #: :meth:`StreamingMultiprocessor._advance_mem_op`): the SM
+        #: epoch it failed at, the counter deltas it made and the
+        #: replacement touch ``(policy, way)`` of its L1 sector hits.
+        self.stall_epoch = -1
+        self.stall_deltas: Tuple[Tuple[Counter, int], ...] = ()
+        self.stall_touch: Optional[Tuple[ReplacementPolicy, int]] = None
 
 
 class StreamingMultiprocessor:
@@ -118,6 +127,11 @@ class StreamingMultiprocessor:
         #: time, friendlier to DRAM row locality.
         self.scheduler = scheduler
         self._greedy_warp: Optional[_Warp] = None
+        #: Bumped by every change a failed issue attempt depends on:
+        #: an issued transaction, an L2 response (L1 fill, MSHR
+        #: completion) and a store-credit release.  A warp whose memo
+        #: carries the current epoch would fail again exactly as before.
+        self._epoch = 0
 
     # -- setup ---------------------------------------------------------------
 
@@ -223,7 +237,22 @@ class StreamingMultiprocessor:
     # -- memory op progression ------------------------------------------------------
 
     def _advance_mem_op(self, warp: _Warp) -> None:
-        """Issue remaining transactions; park on structural stalls."""
+        """Issue remaining transactions; park on structural stalls.
+
+        A stalled warp polls every ``RETRY_CYCLES``.  While the SM's
+        epoch is unchanged, a retry would redo the failed attempt with
+        the same outcome, so it replays the memoized counter deltas
+        instead (bit-identical, including the event count).
+        """
+        if warp.stall_epoch == self._epoch:
+            for counter, delta in warp.stall_deltas:
+                counter.value += delta
+            if warp.stall_touch is not None:
+                policy, way = warp.stall_touch
+                policy.on_access(way)
+            self._stall_retries.add(1)
+            self.sim.schedule(self.RETRY_CYCLES, self._advance_mem_op, warp)
+            return
         while warp.next_txn < len(warp.txns):
             line_addr, mask = warp.txns[warp.next_txn]
             if warp.is_atomic_op:
@@ -236,6 +265,7 @@ class StreamingMultiprocessor:
                 self._stall_retries.add(1)
                 self.sim.schedule(self.RETRY_CYCLES, self._advance_mem_op, warp)
                 return
+            self._epoch += 1
             warp.next_txn += 1
         if (warp.is_store_op and not self.blocking_stores) \
                 or warp.outstanding == 0:
@@ -243,14 +273,24 @@ class StreamingMultiprocessor:
             # everything hit.
             self._warp_ready(warp)
 
+    def _park(self, warp: _Warp, deltas: Tuple[Tuple[Counter, int], ...],
+              touch: Optional[Tuple[ReplacementPolicy, int]] = None) -> None:
+        """Memoize a failed attempt's effects for its retries.  Skipped
+        under introspection, whose per-set hooks only the full lookup
+        path feeds."""
+        if self.l1._insp is None:
+            warp.stall_epoch = self._epoch
+            warp.stall_deltas = deltas
+            warp.stall_touch = touch
+
     # -- loads ------------------------------------------------------------------------
 
     def _issue_load_txn(self, warp: _Warp, line_addr: int, mask: int) -> bool:
-        hit_mask, _line = self.l1.lookup_mask(line_addr, mask,
-                                              require_verified=False)
+        hit_mask, line = self.l1.lookup_mask(line_addr, mask,
+                                             require_verified=False)
         miss_mask = mask & ~hit_mask
-        self._load_txns.add(1)
         if not miss_mask:
+            self._load_txns.add(1)
             warp.outstanding += 1
             self.sim.schedule(self.l1_latency, self._load_credit, warp)
             return True
@@ -259,8 +299,12 @@ class StreamingMultiprocessor:
         entry = self.l1_mshrs.allocate(line_addr, miss_mask,
                                        waiter=lambda: self._load_credit(warp))
         if entry is None:
-            self._load_txns.add(-1)
+            deltas, touch = self.l1.lookup_mask_effects(mask, hit_mask, line)
+            self._park(warp,
+                       deltas + ((self.l1_mshrs.stall_counter(line_addr), 1),),
+                       touch)
             return False
+        self._load_txns.add(1)
         warp.outstanding += 1
         if entry.payload is None:
             entry.payload = {"filled": 0}
@@ -290,6 +334,7 @@ class StreamingMultiprocessor:
             lambda: self._on_l2_response(line_addr, mask, token))
 
     def _on_l2_response(self, line_addr: int, mask: int, token=None) -> None:
+        self._epoch += 1
         if token is not None:
             self._attributor.complete(token)
         line, evicted = self.l1.allocate(line_addr)
@@ -318,12 +363,16 @@ class StreamingMultiprocessor:
     def _store_ack(self, warp: _Warp) -> None:
         """Blocking-store acknowledgment: free the store-buffer credit
         and retire the op once every transaction has been acked."""
-        self.store_credits.release()
+        self._release_store_credit()
         self._load_credit(warp)
+
+    def _release_store_credit(self) -> None:
+        self._epoch += 1
+        self.store_credits.release()
 
     def _store_ack_cb(self, warp: _Warp) -> Callable[[], None]:
         if not self.blocking_stores:
-            return self.store_credits.release
+            return self._release_store_credit
         warp.outstanding += 1
         return lambda: self._store_ack(warp)
 
@@ -332,6 +381,7 @@ class StreamingMultiprocessor:
         """Atomics bypass the L1 (they execute at the L2's atomic unit)
         and invalidate any stale L1 copy of the touched sectors."""
         if not self.store_credits.try_acquire():
+            self._park(warp, ((self.store_credits.full_rejections, 1),))
             return False
         self._store_txns.add(1)
         line = self.l1.probe(line_addr)
@@ -349,12 +399,11 @@ class StreamingMultiprocessor:
     def _issue_store_txn(self, warp: _Warp, line_addr: int,
                          mask: int) -> bool:
         if not self.store_credits.try_acquire():
+            self._park(warp, ((self.store_credits.full_rejections, 1),))
             return False
+        # Write-through, no-allocate: the L1 copy, if any, is updated in
+        # place with no state change.
         self._store_txns.add(1)
-        # Write-through, no-allocate: refresh L1 copy if present.
-        line = self.l1.probe(line_addr)
-        if line is not None and line.valid:
-            pass  # data updated in place; no state change needed
         slice_id = self.route(line_addr)
         slice_obj = self.slices[slice_id]
         sectors = mask.bit_count()

@@ -282,19 +282,19 @@ class FunctionalSm:
         hit_mask, _line = self.l1.lookup_mask(line_addr, mask,
                                               require_verified=False)
         miss_mask = mask & ~hit_mask
-        self._load_txns.add(1)
         if not miss_mask:
+            self._load_txns.add(1)
             return
         existing = self.l1_mshrs.get(line_addr)
         previously = existing.sector_mask if existing else 0
         entry = self.l1_mshrs.allocate(line_addr, miss_mask, waiter=_noop)
         if entry is None:
-            # Event semantics: un-count the txn, drain (frees entries —
-            # the functional "retry"), and redo from the lookup.
-            self._load_txns.add(-1)
+            # Event semantics: drain (frees entries — the functional
+            # "retry"), and redo from the lookup.
             self.sim.drain()
             self._load_txn(line_addr, mask)
             return
+        self._load_txns.add(1)
         if entry.payload is None:
             entry.payload = {"filled": 0}
         new_sectors = miss_mask & ~previously
@@ -345,8 +345,7 @@ class FunctionalSm:
 
     def _store_txn(self, line_addr: int, mask: int) -> None:
         self._acquire_store_credit()
-        self._store_txns.add(1)
-        self.l1.probe(line_addr)  # write-through, no-allocate
+        self._store_txns.add(1)  # write-through, no-allocate
         self.slices[self.route(line_addr)].receive_store(
             line_addr, mask, self.store_credits.release)
 

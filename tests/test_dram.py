@@ -191,6 +191,85 @@ class TestChannelBehaviour:
         assert done[1] >= 350  # blocked behind the 100-cycle blackout
 
 
+def record_issues_and_ticks(ch):
+    """Log ``(cycle, addr)`` per issued request and the cycle of every
+    scheduler tick (instance shadows; behaviour unchanged)."""
+    issues, ticks = [], []
+    issue, tick = ch._issue, ch._tick
+
+    def logged_issue(req, now):
+        issues.append((ch.sim.now, req.addr))
+        issue(req, now)
+
+    def logged_tick():
+        ticks.append(ch.sim.now)
+        tick()
+
+    ch._issue = logged_issue
+    ch._tick = logged_tick
+    return issues, ticks
+
+
+class TestSchedulerMemo:
+    """The failed-scan memo (``_blocked_until``) must never change an
+    issue cycle or a tick.  Each case keeps a memo live while a
+    ready-bank request in the other queue makes the channel poll every
+    cycle, then changes state the memo depends on.
+
+    Shared set-up: ``A`` is a 16-atom read of bank 0 row 0 issued at 0
+    (CAS at t_rcd = 28, so bank 0 is busy until 28 + 16 x t_burst = 60);
+    ``B`` reads bank 0 row 1 and waits for that bank.
+    """
+
+    B_ADDR = 2048 * 32  # bank 0, row 1
+
+    def test_enqueue_to_idle_bank_clears_memo(self):
+        sim, ch = make_channel()
+        issues, ticks = record_issues_and_ticks(ch)
+        ch.enqueue(read(0, atoms=16))
+        ch.enqueue(read(self.B_ADDR))
+        ch.enqueue(write(4096))  # bank 2, ready: read mode polls
+        sim.schedule_at(10, lambda: ch.enqueue(read(2048)))  # bank 1
+        sim.run()
+        # C (bank 1) issues on the tick it arrives, not when B's bank
+        # frees up; the write drains after the last read.
+        assert issues == [(0, 0), (10, 2048), (60, self.B_ADDR), (60, 4096)]
+        assert ticks == list(range(0, 62))
+
+    def test_refresh_inside_memo_window_clears_memo(self):
+        sim = Simulator()
+        timing = DramTiming(refresh_enabled=True, t_refi=100, t_rfc=50)
+        ch = MemoryChannel("ch", sim, timing)
+        issues, ticks = record_issues_and_ticks(ch)
+        ch.enqueue(read(0, atoms=64))  # bank 0 busy until 28 + 128 = 156
+        ch.enqueue(read(self.B_ADDR))
+        ch.enqueue(write(4096))  # bank 2, ready: read mode polls
+        sim.run()
+        # The refresh at 100 blocks every bank until 150, so the
+        # polling stops there and resumes at bank 2's new ready time.
+        assert issues == [(0, 0), (156, self.B_ADDR), (156, 4096)]
+        assert ticks == list(range(0, 101)) + list(range(150, 158))
+        assert ch.stats.flatten()["ch.refreshes"] == 1
+
+    def test_write_mode_flip_clears_memo(self):
+        sim, ch = make_channel()
+        issues, ticks = record_issues_and_ticks(ch)
+        writes = [2048 * bank for bank in range(2, 26)]  # 24 idle banks
+        ch.enqueue(read(0, atoms=16))
+        ch.enqueue(read(self.B_ADDR))
+        for addr in writes[:-1]:  # 23 writes: below WRITE_HI
+            ch.enqueue(write(addr))
+        sim.schedule_at(10, lambda: ch.enqueue(write(writes[-1])))
+        sim.run()
+        # The 24th write flips the channel into write mode at 10: it
+        # drains 16 writes down to WRITE_LO, then serves reads again.
+        assert ch.WRITE_HI == 24 and ch.WRITE_LO == 8
+        assert issues == ([(0, 0)] + [(10, a) for a in writes[:16]]
+                          + [(60, self.B_ADDR)]
+                          + [(60, a) for a in writes[16:]])
+        assert ticks == list(range(0, 62))
+
+
 class TestInlineLayout:
     def test_coverage_arithmetic(self):
         layout = InlineEccLayout(granule_bytes=128, meta_per_granule=2)
