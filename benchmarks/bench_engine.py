@@ -1,6 +1,6 @@
 """Engine events/sec microbenchmark.
 
-Measures the discrete-event core two ways and writes the figures to
+Measures simulator throughput three ways and writes the figures to
 ``benchmarks/results/BENCH_engine.json`` (override with ``--output``):
 
 * **raw** — a synthetic event chain (each event reschedules its
@@ -10,11 +10,11 @@ Measures the discrete-event core two ways and writes the figures to
 * **sim** — a real small simulation (vecadd under cachecraft), with
   events/sec derived from ``sim.events_executed`` over host wall time.
   This is what harness and CI throughput actually look like.
-* **functional** — the same model driven through the functional
-  fidelity tier (:mod:`repro.sim.functional`) on an irregular cell
-  (bfs under cachecraft), reported as *equivalent* events/sec: the
-  events the event tier executes for that cell divided by the
-  functional tier's wall time.  Irregular workloads are where
+* **columnar** — the same model driven through the functional
+  fidelity tier's columnar replay (:mod:`repro.sim.functional`) on an
+  irregular cell (bfs under cachecraft), reported as *equivalent*
+  events/sec: the events the event tier executes for that cell divided
+  by the functional tier's wall time.  Irregular workloads are where
   traffic-only analysis spends its time and where event-mode timing
   (queueing, retries, row conflicts) costs the most, so this is the
   figure the F2-style sweeps actually experience.
@@ -97,10 +97,9 @@ def bench_real_sim(scale: float = 0.2, seed: int = 42) -> Dict[str, Any]:
     }
 
 
-def bench_functional_sim(scale: float = 0.2, seed: int = 42,
-                         workload: str = "bfs", scheme: str = "cachecraft",
-                         repeats: int = 1,
-                         columnar: bool = False) -> Dict[str, Any]:
+def bench_columnar_sim(scale: float = 0.2, seed: int = 42,
+                       workload: str = "bfs", scheme: str = "cachecraft",
+                       repeats: int = 1) -> Dict[str, Any]:
     """Equivalent events/sec of the functional tier on an irregular cell.
 
     Runs the cell once in event mode (for the deterministic event
@@ -109,19 +108,12 @@ def bench_functional_sim(scale: float = 0.2, seed: int = 42,
     tiers is exact, so dividing the event tier's event count by the
     functional tier's wall time is an apples-to-apples throughput for
     producing the same counters.
-
-    ``columnar`` selects the replay path: False pins the scalar
-    op-list loop (the figure's historical meaning, so the ledger band
-    stays continuous), True replays the compiled columnar artifact
-    (:func:`repro.sim.functional.replay_columnar`).
     """
     wl = make_workload(workload)
 
     def run_once(fidelity: str):
         config = bench_config().with_scheme(scheme).with_fidelity(fidelity)
         system = GpuSystem(config)
-        if fidelity == "functional":
-            system.columnar_enabled = columnar
         system.load_workload(wl, bench_gen_ctx(config, scale=scale,
                                                seed=seed))
         started = time.perf_counter()
@@ -150,15 +142,13 @@ def run_benchmark(raw_events: int, scale: float, repeats: int) -> Dict[str, Any]
               key=lambda r: r["seconds"])
     sim = min((bench_real_sim(scale) for _ in range(repeats)),
               key=lambda r: r["seconds"])
-    functional = bench_functional_sim(scale, repeats=repeats)
-    columnar = bench_functional_sim(scale, repeats=repeats, columnar=True)
+    columnar = bench_columnar_sim(scale, repeats=repeats)
     return {
         "benchmark": "engine_events_per_sec",
         "python": platform.python_version(),
         "repeats": repeats,
         "raw_engine": raw,
         "real_sim": sim,
-        "functional_sim": functional,
         "columnar_sim": columnar,
     }
 
@@ -192,11 +182,6 @@ def main() -> int:
           f"({raw['events']:,} events in {raw['seconds']}s)")
     print(f"real sim   : {sim['events_per_sec']:>12,} events/sec "
           f"({sim['events']:,} events in {sim['seconds']}s)")
-    fn = payload["functional_sim"]
-    print(f"functional : {fn['events_per_sec']:>12,} eq events/sec "
-          f"({fn['events']:,} events' worth in {fn['seconds']}s; "
-          f"{fn['speedup']}x event mode on "
-          f"{fn['workload']}/{fn['scheme']})")
     col = payload["columnar_sim"]
     print(f"columnar   : {col['events_per_sec']:>12,} eq events/sec "
           f"({col['events']:,} events' worth in {col['seconds']}s; "

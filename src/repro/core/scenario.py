@@ -9,7 +9,10 @@ paid for.
 
 :class:`Scenario` runs a list of kernels *sequentially on one system*
 (each kernel's warps launch when the previous kernel has fully
-drained), returning per-kernel results plus the scenario total.
+drained), returning per-kernel results plus the scenario total.  The
+kernel sequence and the flush are :class:`GpuSystem`'s own
+(:meth:`~GpuSystem.run_kernel`, :meth:`~GpuSystem.flush`), so a
+scenario runs on either fidelity tier.
 """
 
 from __future__ import annotations
@@ -42,6 +45,9 @@ class ScenarioResult:
     total_cycles: int
     traffic: dict
     host_seconds: float = 0.0
+    #: The system the scenario ran on, as the last kernel left it.
+    system: Optional[GpuSystem] = field(default=None, repr=False,
+                                        compare=False)
 
     @property
     def kernel_cycles(self) -> List[int]:
@@ -89,23 +95,10 @@ class Scenario:
                 line_bytes=base_ctx.line_bytes,
                 sector_bytes=base_ctx.sector_bytes)
             system.load_workload(launch.workload, ctx)
-            for sm in system.sms:
-                sm.start()
-            system.sim.run()
-            if not all(sm.done for sm in system.sms):
-                raise RuntimeError(
-                    f"kernel {index} ({launch.workload.name}) did not drain")
+            system.run_kernel()
             is_last = index == len(self.launches) - 1
-            if flush_between and not is_last:
-                for sl in system.slices:
-                    sl.flush()
-                system.scheme.drain()
-                system.sim.run()
-            if is_last and config.flush_at_end:
-                for sl in system.slices:
-                    sl.flush()
-                system.scheme.drain()
-                system.sim.run()
+            if config.flush_at_end if is_last else flush_between:
+                system.flush()
             now = system.sim.now
             traffic_now = system.traffic()
             delta_traffic = {
@@ -117,24 +110,14 @@ class Scenario:
             results.append(result)
             prev_cycles = now
             prev_traffic = traffic_now
-            self._reset_sms(system)
 
         return ScenarioResult(
             kernels=results,
             total_cycles=prev_cycles,
             traffic=prev_traffic,
             host_seconds=time.perf_counter() - started,
+            system=system,
         )
-
-    @staticmethod
-    def _reset_sms(system: GpuSystem) -> None:
-        """Clear warp lists so the next kernel starts fresh (caches,
-        directory and metadata state intentionally persist)."""
-        for sm in system.sms:
-            sm._warps.clear()
-            sm._ready.clear()
-            sm._active_warps = 0
-            sm.finish_time = None
 
 
 def producer_consumer(workload_write: Workload, workload_read: Workload,

@@ -25,14 +25,14 @@ from repro.resilience.injector import Injector
 from repro.resilience.recovery import RecoveryController
 from repro.sim.engine import Simulator, Watchdog
 from repro.sim.functional import (FunctionalChannel, FunctionalSm,
-                                  ImmediateQueue, replay, replay_columnar)
+                                  ImmediateQueue, replay_columnar)
 from repro.sim.stats import StatsRegistry
 from repro.workloads.base import (GenContext, Workload, materialize,
                                   materialize_compiled)
 
 
 class GpuSystem:
-    """A fully-wired simulated GPU ready to run one workload.
+    """A fully-wired simulated GPU, ready to run one kernel after another.
 
     ``obs`` is an optional :class:`~repro.obs.hub.Observability` hub;
     the default shared :data:`~repro.obs.hub.OBS_OFF` disables every
@@ -170,22 +170,18 @@ class GpuSystem:
             return (line_addr * gpu.line_bytes // chunk) % gpu.num_slices
 
         self.route = route
-        #: Columnar artifact for the functional tier's vectorized
-        #: replay; set by :meth:`load_workload` when the workload can
-        #: be compiled (numpy available).  ``columnar_enabled=False``
-        #: forces the scalar op-list replay (tests, manual add_warp).
+        #: Columnar artifact of the loaded kernel, set by
+        #: :meth:`load_workload` on the functional tier (and on
+        #: inspected event-tier runs); cleared when the kernel retires.
         self.compiled = None
-        self.columnar_enabled = functional_tier
         if functional_tier:
-            # No interconnect timing to model — SMs talk to the slices
-            # directly, through the same receive_* interface.
+            # No interconnect timing to model — the replay drives the
+            # slices directly, through the same receive_* interface.
             self.crossbar = None
             self.sms = [
                 FunctionalSm(
-                    i, self.sim, self.slices, route,
-                    l1_size=gpu.l1_size_kb * 1024, l1_ways=gpu.l1_ways,
+                    i, l1_size=gpu.l1_size_kb * 1024, l1_ways=gpu.l1_ways,
                     line_bytes=gpu.line_bytes,
-                    sector_bytes=gpu.sector_bytes,
                     l1_mshr_entries=gpu.l1_mshr_entries,
                     store_buffer=gpu.store_buffer, stats=self.stats)
                 for i in range(gpu.num_sms)
@@ -223,17 +219,15 @@ class GpuSystem:
         for sm, warp_traces in zip(self.sms, traces):
             for ops in warp_traces:
                 sm.add_warp(ops)
-        if self.columnar_enabled or self.obs.inspect is not None:
+        if self.config.fidelity == "functional" \
+                or self.obs.inspect is not None:
             # The inspector's trace-level analytics also want the
             # columnar artifact, so event-tier inspected runs compile
             # it too (materialization is memoized — no double cost).
-            try:
-                self.compiled = materialize_compiled(
-                    workload, gen_ctx, line_bytes=gpu.line_bytes,
-                    sector_bytes=gpu.sector_bytes)
-            except ImportError:  # no numpy: scalar replay still works
-                self.compiled = None
-        if self.obs.inspect is not None and self.compiled is not None:
+            self.compiled = materialize_compiled(
+                workload, gen_ctx, line_bytes=gpu.line_bytes,
+                sector_bytes=gpu.sector_bytes)
+        if self.obs.inspect is not None:
             self.obs.inspect.set_trace(
                 self.compiled, len(self.sms),
                 self.ctx.layout if self.scheme.has_inline_metadata else None)
@@ -266,78 +260,89 @@ class GpuSystem:
 
     def run(self, max_events: Optional[int] = None,
             watchdog: Optional[Watchdog] = None) -> int:
-        """Run to completion (including the optional end flush).
+        """Run the loaded kernel, then the optional end flush.
 
         ``watchdog`` guards against livelock and wall-clock blowups
         (see :class:`~repro.sim.engine.Watchdog`).  Returns total
         simulated cycles (0 on the clock-free functional tier).
         """
-        if self.config.fidelity == "functional":
-            return self._run_functional(max_events=max_events,
-                                        watchdog=watchdog)
         self.obs.start()
         if self.injector is not None:
             self.injector.arm()
-        for sm in self.sms:
-            sm.start()
-        self.sim.run(max_events=max_events, watchdog=watchdog)
-        if not all(sm.done for sm in self.sms):
-            raise RuntimeError("event queue drained but SMs not finished — "
-                               "a request was dropped (simulator bug)")
-        kernel_cycles = self.sim.now
+        kernel_cycles = self.run_kernel(max_events, watchdog)
         if self.config.flush_at_end:
-            for sl in self.slices:
-                sl.flush()
-            self.scheme.drain()
-            self.sim.run(max_events=max_events, watchdog=watchdog)
+            self.flush(max_events, watchdog)
         self.obs.finish()
         return max(kernel_cycles, self.sim.now)
 
-    def _run_functional(self, max_events: Optional[int] = None,
-                        watchdog: Optional[Watchdog] = None) -> int:
-        """Clock-free replay (see :mod:`repro.sim.functional`).
+    def run_kernel(self, max_events: Optional[int] = None,
+                   watchdog: Optional[Watchdog] = None) -> int:
+        """Launch the loaded warps, run them to completion and retire
+        them.  Caches, metadata and directory state persist, so the
+        next :meth:`load_workload` + :meth:`run_kernel` sees them warm.
+        Returns the clock at the kernel's end.
 
-        A :class:`Watchdog`'s livelock detector is meaningless here
-        (``now`` never advances by design), so only its wall-clock
-        budget carries over; ``max_events`` bounds queue micro-tasks.
-
-        Replays the columnar artifact (vectorized; see
-        :func:`repro.sim.functional.replay_columnar`) when
-        :meth:`load_workload` compiled one and nothing forces the
-        scalar path — flame profiling wraps ``sm.step`` (which the
-        columnar loop never calls), and warps added manually via
-        ``sm.add_warp`` are absent from the artifact, so both fall
-        back to the bit-identical scalar op-list replay.
+        On the functional tier a :class:`Watchdog`'s livelock detector
+        is meaningless (``now`` never advances by design), so only its
+        wall-clock budget carries over; ``max_events`` bounds queue
+        micro-tasks.
         """
-        queue = self.sim
-        queue.set_budget(
-            max_events,
-            watchdog.max_wall_seconds if watchdog is not None else None)
-        compiled = self.compiled
-        use_columnar = (
-            compiled is not None and self.columnar_enabled
-            and self.obs.flame is None
-            and sum(sm.num_warps for sm in self.sms)
-            == int((compiled.warp_sm < len(self.sms)).sum()))
-        if use_columnar:
-            replay_columnar(compiled, self.sms, self.slices, queue,
-                            self.config.gpu.slice_chunk_bytes)
+        if self.config.fidelity == "functional":
+            self.sim.set_budget(
+                max_events,
+                watchdog.max_wall_seconds if watchdog is not None else None)
+            self._replay()
         else:
-            if self.obs.flame is not None:
-                # The tier's driver is a host-side loop, not scheduled
-                # events, so the root frame (smN.step) is planted here;
-                # the micro-tasks each step drains inherit it through
-                # the instrumented queue.
-                for sm in self.sms:
-                    sm.step = self.obs.flame.wrap_root(
-                        f"sm{sm.sm_id}.step", sm.step)
-            replay(self.sms, queue)
-        if self.config.flush_at_end:
-            for sl in self.slices:
-                sl.flush()
-            self.scheme.drain()
-            queue.drain()
-        return 0
+            for sm in self.sms:
+                sm.start()
+            self.sim.run(max_events=max_events, watchdog=watchdog)
+            if not all(sm.done for sm in self.sms):
+                raise RuntimeError(
+                    "event queue drained but SMs not finished — "
+                    "a request was dropped (simulator bug)")
+        for sm in self.sms:
+            sm.retire()
+        self.compiled = None
+        return self.sim.now
+
+    def _replay(self) -> None:
+        """The functional tier's kernel: one columnar replay (see
+        :func:`repro.sim.functional.replay_columnar`) of the SMs' warps.
+
+        The artifact :meth:`load_workload` compiled covers exactly the
+        SMs' warps unless more were added with ``sm.add_warp`` (warps
+        are only ever added, so equal counts mean equal warps); then
+        the SMs' warps are compiled here.
+        """
+        gpu = self.config.gpu
+        compiled = self.compiled
+        warps = [sm.warps for sm in self.sms]
+        if compiled is None or sum(map(len, warps)) \
+                != int((compiled.warp_sm < len(self.sms)).sum()):
+            # Imported here: the event tier never needs numpy.
+            from repro.gpu.columnar import compile_trace
+
+            compiled = compile_trace(warps, gpu.line_bytes,
+                                     gpu.sector_bytes)
+        replay = replay_columnar
+        if self.obs.flame is not None:
+            # The replay is a host-side loop, not scheduled events, so
+            # its root frame is planted here; the micro-tasks it drains
+            # inherit it through the instrumented queue.
+            replay = self.obs.flame.wrap_root("functional.replay", replay)
+        replay(compiled, self.sms, self.slices, self.sim,
+               gpu.slice_chunk_bytes)
+
+    def flush(self, max_events: Optional[int] = None,
+              watchdog: Optional[Watchdog] = None) -> None:
+        """Write the L2 back through the protection path and drain."""
+        for sl in self.slices:
+            sl.flush()
+        self.scheme.drain()
+        if self.config.fidelity == "functional":
+            self.sim.drain()
+        else:
+            self.sim.run(max_events=max_events, watchdog=watchdog)
 
     # -- reporting --------------------------------------------------------------------
 

@@ -192,11 +192,11 @@ def round_robin_order(compiled: CompiledTrace,
                       machine_sms: int) -> np.ndarray:
     """Global op execution order of the functional tier's replay loop.
 
-    The scalar :func:`repro.sim.functional.replay` drives warps
+    :func:`repro.sim.functional.replay_columnar` drives warps
     round-robin, one op per still-active warp per round, in flattened
     SM-major warp order; because the queue is drained after every
     memory op, that rotation **is** a total sequential order over ops.
-    This reproduces it vectorized: sort ops by (round = index within
+    This computes it vectorized: sort ops by (round = index within
     warp, warp index), dropping warps mapped beyond the machine's SM
     count (``load_workload`` zip-truncates those).
 

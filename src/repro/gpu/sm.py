@@ -148,6 +148,7 @@ class StreamingMultiprocessor:
         latency; real warps launch a few cycles apart, which
         decorrelates them.
         """
+        self.finish_time = None
         for warp in self._warps:
             delay = (warp.warp_id * 11 + self.sm_id * 7) % 64
             self.sim.schedule(delay, self._warp_ready, warp)
@@ -155,6 +156,15 @@ class StreamingMultiprocessor:
     @property
     def done(self) -> bool:
         return self._active_warps == 0
+
+    def retire(self) -> None:
+        """Drop the finished kernel's warps, so the next launch numbers
+        its warps (and staggers them) from 0 again.  The L1, MSHRs,
+        store buffer and ``finish_time`` persist."""
+        self._warps.clear()
+        self._ready.clear()
+        self._active_warps = 0
+        self._greedy_warp = None
 
     # -- issue loop ---------------------------------------------------------------
 

@@ -24,7 +24,7 @@ supported: :meth:`FlameProfiler.instrument` hooks
 :class:`~repro.sim.engine.Simulator` and the functional tier's
 ``ImmediateQueue`` alike (duck-typed ``schedule``/``schedule_at``/
 ``schedule_daemon``), and :meth:`FlameProfiler.wrap_root` roots the
-functional tier's tight loop at ``smN.step``.
+functional tier's replay loop at ``functional.replay``.
 
 Output is the classic *collapsed stack* format (``frame;frame;frame
 count``, one line per stack, sorted) consumed directly by
@@ -163,9 +163,9 @@ class FlameProfiler:
         """Run ``fn`` under an explicit root frame.
 
         The functional tier drives SMs from a host-side loop rather
-        than scheduled events, so its root (``smN.step``) must be
-        planted by the caller; micro-tasks the step drains then inherit
-        it through the instrumented queue.
+        than scheduled events, so its root (``functional.replay``)
+        must be planted by the caller; micro-tasks the replay drains
+        then inherit it through the instrumented queue.
         """
         def runner(*args: Any, **kwargs: Any) -> Any:
             stack = self._push(self._stack, name)

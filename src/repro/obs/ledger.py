@@ -237,10 +237,6 @@ def record_from_bench(payload: Dict[str, Any],
         "raw_events_per_sec": raw.get("events_per_sec", 0),
         "sim_events_per_sec": sim.get("events_per_sec", 0),
     }
-    functional = payload.get("functional_sim")
-    if functional:
-        metrics["functional_events_per_sec"] = \
-            functional.get("events_per_sec", 0)
     columnar = payload.get("columnar_sim")
     if columnar:
         metrics["columnar_events_per_sec"] = \

@@ -60,7 +60,6 @@ DEFAULT_TOLERANCES: Dict[str, Tuple[str, float]] = {
     # band only catches collapse, not jitter.
     "raw_events_per_sec": ("higher", 0.75),
     "sim_events_per_sec": ("higher", 0.75),
-    "functional_events_per_sec": ("higher", 0.75),
     "columnar_events_per_sec": ("higher", 0.75),
 }
 

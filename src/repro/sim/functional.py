@@ -23,12 +23,14 @@ dispatch overhead.  Three pieces make that possible:
     read/write atom counters, posted-write acks) and fires read
     callbacks through the queue instead of the FR-FCFS timing model.
 
-``FunctionalSm``
-    A tight-loop warp replayer with the event SM's exact counter
-    semantics: coalesce once per memory op, probe the same sectored
-    L1, allocate/merge in the same ``MshrFile``, take the same
-    store-buffer credits — then drive each transaction straight into
-    ``L2Slice.receive_load/store/atomic`` and drain the queue.
+``FunctionalSm`` and :func:`replay_columnar`
+    The warps, compiled to the columnar IR (:mod:`repro.gpu.columnar`),
+    replay in the event SM's round-robin order with its exact counter
+    semantics: a lean model of the same LRU sectored L1
+    (:class:`FunctionalL1`), the same MSHR and store-buffer accounting
+    — then each transaction goes straight into
+    ``L2Slice.receive_load/store/atomic`` and the queue drains after
+    every memory op.
 
 **Parity contract** (enforced by ``tests/test_fidelity_parity.py``):
 on a *serialized memory stream* — one SM, one warp, one lane,
@@ -50,20 +52,14 @@ import re
 import time
 from collections import OrderedDict, deque
 from functools import partial
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.cache.mshr import MshrFile
-from repro.cache.sectored import SectoredCache
 from repro.dram.channel import DramRequest, RequestKind
-from repro.gpu.coalescer import coalesce
-from repro.gpu.trace import ComputeOp, MemoryOp, WarpOp
+from repro.gpu.trace import WarpOp
 from repro.sim.engine import SimulationError
 from repro.sim.resources import OccupancyLimiter
 from repro.sim.stats import StatGroup
-
-
-def _noop(*_args) -> None:
-    return None
 
 
 class ImmediateQueue:
@@ -154,6 +150,10 @@ class FunctionalChannel:
     histogram) are timing-only and deliberately absent.
     """
 
+    #: Nothing ever waits here: reads complete through the queue and
+    #: writes are posted.
+    queue_depth = 0
+
     def __init__(self, name: str, sim: ImmediateQueue,
                  stats: Optional[StatGroup] = None, atom_bytes: int = 32):
         self.name = name
@@ -189,37 +189,134 @@ class FunctionalChannel:
         return sum(self._bytes_by_kind.values())
 
 
-class FunctionalSm:
-    """Tight-loop warp replayer with the event SM's counter semantics.
+#: The sectored cache's per-cache counters, in its creation order; the
+#: functional L1 creates the same keys (stat-key parity).
+_L1_COUNTERS = ("hits", "sector_misses", "line_misses", "line_miss_sectors",
+                "evictions", "writebacks", "metadata_fills",
+                "metadata_hits")
 
-    Creates the same per-SM statistics tree (``sm{i}``: instructions /
-    loads / stores / atomics / load_transactions / store_transactions /
-    stall_retries, the sectored L1, the L1 MSHR file and the
-    store-buffer limiter) so the flattened result is key-compatible
+
+class FunctionalL1:
+    """The functional SM's L1: an exact, lean model of the event SM's
+    LRU :class:`~repro.cache.sectored.SectoredCache`.
+
+    The L1 is write-through and no-allocate and is looked up without
+    verification, so only tags, valid sectors and LRU order are
+    observable.  One ``OrderedDict`` per set models true LRU exactly:
+    insertion order is fill order, ``move_to_end`` is the hit
+    promotion, ``popitem(last=False)`` the victim choice (the sectored
+    cache fills invalid ways first, but every fill becomes MRU
+    regardless of which physical way it lands in, so the dict's
+    recency order and the way-list policy order are the same total
+    order).  Each value is the line's valid sector mask; a line whose
+    mask was zeroed by atomics stays resident (tag match, all sectors
+    miss) and, like the sectored cache, does not count as an eviction
+    when displaced.
+
+    The state persists across replays (kernels).  Counts accumulate in
+    plain integers and reach the ``l1.*`` counters in one
+    :meth:`publish` per replay.
+    """
+
+    #: The counts the lean model keeps; the sectored cache's writeback
+    #: and metadata counters stay 0 on an L1.
+    _COUNTS = ("hits", "sector_misses", "line_misses", "line_miss_sectors",
+               "evictions")
+    __slots__ = ("sets", "num_sets", "ways", "stats") + _COUNTS
+
+    def __init__(self, size_bytes: int, ways: int, line_bytes: int,
+                 stats: StatGroup):
+        if size_bytes % (ways * line_bytes):
+            raise ValueError("size_bytes must be a multiple of ways * line_bytes")
+        self.num_sets = size_bytes // (ways * line_bytes)
+        self.ways = ways
+        self.sets: List[OrderedDict] = [
+            OrderedDict() for _ in range(self.num_sets)]
+        self.stats = stats.child("l1")
+        for name in _L1_COUNTERS:
+            self.stats.counter(name)
+        for name in self._COUNTS:
+            setattr(self, name, 0)
+
+    def lookup(self, line_addr: int, mask: int) -> int:
+        """Look up ``mask``'s sectors of a line; returns the missing ones.
+
+        Counts like ``SectoredCache.lookup_mask``: a tag miss once per
+        access (plus the sectors it requested), hits and sector misses
+        per sector.  A hit promotes the line to most recently used.
+        """
+        sd = self.sets[line_addr % self.num_sets]
+        valid = sd.get(line_addr)
+        if valid is None:
+            self.line_misses += 1
+            self.line_miss_sectors += mask.bit_count()
+            return mask
+        hit = mask & valid
+        if hit:
+            self.hits += hit.bit_count()
+            sd.move_to_end(line_addr)
+        miss = mask & ~valid
+        if miss:
+            self.sector_misses += miss.bit_count()
+        return miss
+
+    def fill(self, line_addr: int, mask: int) -> None:
+        """Install sectors, allocating the line (and evicting the least
+        recently used one) on a tag miss.  A resident line is not
+        promoted, exactly like ``SectoredCache.allocate``."""
+        sd = self.sets[line_addr % self.num_sets]
+        valid = sd.get(line_addr)
+        if valid is None:
+            if len(sd) >= self.ways and sd.popitem(last=False)[1]:
+                self.evictions += 1
+            valid = 0
+        sd[line_addr] = valid | mask  # an update keeps the line's rank
+
+    def invalidate(self, line_addr: int, mask: int) -> None:
+        """Mark ``mask``'s sectors stale (an atomic wrote them at the
+        L2); the tag stays resident."""
+        sd = self.sets[line_addr % self.num_sets]
+        valid = sd.get(line_addr)
+        if valid is not None:
+            sd[line_addr] = valid & ~mask
+
+    def occupancy(self) -> float:
+        """Fraction of lines holding a tag."""
+        return sum(map(len, self.sets)) / (self.num_sets * self.ways)
+
+    def publish(self) -> None:
+        """Add the accumulated counts to the ``l1.*`` counters."""
+        for name in self._COUNTS:
+            self.stats.get(name).add(getattr(self, name))
+            setattr(self, name, 0)
+
+
+class FunctionalSm:
+    """One SM of the functional tier: warps to replay plus the L1,
+    MSHR and store-buffer state :func:`replay_columnar` drives.
+
+    Creates the same per-SM statistics tree as the event SM (``sm{i}``:
+    instructions / loads / stores / atomics / load_transactions /
+    store_transactions / stall_retries, the L1, the L1 MSHR file and
+    the store-buffer limiter) so the flattened result is key-compatible
     with the event tier.  Structural stalls cannot occur — the queue
     is drained after every memory op, so MSHRs and store credits are
     always free — hence ``stall_retries`` stays 0, matching the event
-    tier on serialized streams.
+    tier on serialized streams.  L1 contents persist across kernels, as
+    on the event tier.
     """
 
-    def __init__(self, sm_id: int, sim: ImmediateQueue, slices: List,
-                 route: Callable[[int], int], l1_size: int = 32 * 1024,
+    def __init__(self, sm_id: int, l1_size: int = 32 * 1024,
                  l1_ways: int = 4, line_bytes: int = 128,
-                 sector_bytes: int = 32, l1_mshr_entries: int = 64,
-                 store_buffer: int = 64,
+                 l1_mshr_entries: int = 64, store_buffer: int = 64,
                  stats: Optional[StatGroup] = None):
         self.sm_id = sm_id
-        self.sim = sim
-        self.slices = slices
-        self.route = route
-        self.line_bytes = line_bytes
-        self.sector_bytes = sector_bytes
-
         group = stats.child(f"sm{sm_id}") if stats is not None \
             else StatGroup(f"sm{sm_id}")
         self.stats = group
-        self.l1 = SectoredCache("l1", l1_size, l1_ways, line_bytes=line_bytes,
-                                sector_bytes=sector_bytes, stats=group)
+        self.l1 = FunctionalL1(l1_size, l1_ways, line_bytes, group)
+        # The MSHR file and the store-buffer limiter carry the counters;
+        # the replay keeps their state in ``_pending`` / ``_credits``.
         self.l1_mshrs = MshrFile("l1mshr", l1_mshr_entries, max_merges=32,
                                  stats=group)
         self.store_credits = OccupancyLimiter("storebuf", store_buffer,
@@ -233,233 +330,65 @@ class FunctionalSm:
         # Always 0 here; created for stat-key parity with the event SM.
         group.counter("stall_retries")
 
-        self._warps: List[Iterator[WarpOp]] = []
+        #: line -> sectors still awaiting an L2 fill (the lean MSHR
+        #: file; empty at every op boundary, which the replay asserts).
+        self._pending: Dict[int, int] = {}
+        #: Store-buffer credits held by in-flight stores and atomics.
+        self._credits = 0
+        #: The op sequences of the warps added since the last retire.
+        self.warps: List[Iterable[WarpOp]] = []
 
-    # -- setup (same surface as StreamingMultiprocessor) ---------------------
+    # -- warps (same surface as StreamingMultiprocessor) ---------------------
 
-    def add_warp(self, ops) -> None:
-        self._warps.append(iter(ops))
-
-    @property
-    def num_warps(self) -> int:
-        return len(self._warps)
+    def add_warp(self, ops: Iterable[WarpOp]) -> None:
+        self.warps.append(ops)
 
     @property
     def done(self) -> bool:
-        return not self._warps
+        return not self.warps
 
-    # -- replay --------------------------------------------------------------
+    def retire(self) -> None:
+        """Drop the replayed kernel's warps; the L1 persists."""
+        self.warps = []
 
-    def step(self, warp_index: int) -> bool:
-        """Replay one op of one warp; False when the warp is done."""
-        op = next(self._warps[warp_index], None)
-        if op is None:
-            return False
-        self._instructions.add(1)
-        if isinstance(op, ComputeOp):
-            return True
-        assert isinstance(op, MemoryOp)
-        txns = coalesce(op.addresses, self.line_bytes, self.sector_bytes)
-        if op.is_atomic:
-            self._atomics.add(1)
-            issue = self._atomic_txn
-        elif op.is_store:
-            self._stores.add(1)
-            issue = self._store_txn
-        else:
-            self._loads.add(1)
-            issue = self._load_txn
-        for line_addr, mask in txns:
-            issue(line_addr, mask)
-        # Complete the whole op (fills, writebacks, metadata traffic)
-        # before the next one issues — the serialized-stream condition.
-        self.sim.drain()
-        return True
+    # -- L2 callbacks --------------------------------------------------------
 
-    # -- loads (mirrors StreamingMultiprocessor._issue_load_txn) -------------
-
-    def _load_txn(self, line_addr: int, mask: int) -> None:
-        hit_mask, _line = self.l1.lookup_mask(line_addr, mask,
-                                              require_verified=False)
-        miss_mask = mask & ~hit_mask
-        if not miss_mask:
-            self._load_txns.add(1)
-            return
-        existing = self.l1_mshrs.get(line_addr)
-        previously = existing.sector_mask if existing else 0
-        entry = self.l1_mshrs.allocate(line_addr, miss_mask, waiter=_noop)
-        if entry is None:
-            # Event semantics: drain (frees entries — the functional
-            # "retry"), and redo from the lookup.
-            self.sim.drain()
-            self._load_txn(line_addr, mask)
-            return
-        self._load_txns.add(1)
-        if entry.payload is None:
-            entry.payload = {"filled": 0}
-        new_sectors = miss_mask & ~previously
-        if new_sectors:
-            slice_obj = self.slices[self.route(line_addr)]
-            slice_obj.receive_load(
-                line_addr, new_sectors,
-                lambda granted: self._l1_fill(line_addr, granted))
-
-    def _l1_fill(self, line_addr: int, mask: int) -> None:
-        """Mirror of the event SM's ``_on_l2_response``."""
-        line, evicted = self.l1.allocate(line_addr)
-        del evicted  # L1 is write-through: evictions are silent.
-        new_mask = mask & ~line.valid_mask
-        if new_mask:
-            self.l1.fill_sectors(line, new_mask, dirty=False, verified=True)
-        entry = self.l1_mshrs.get(line_addr)
-        if entry is None:
-            return
-        entry.payload["filled"] |= mask
-        if entry.sector_mask & ~entry.payload["filled"]:
-            return
-        for waiter in self.l1_mshrs.complete(line_addr):
-            waiter()
-
-    # -- stores/atomics ------------------------------------------------------
-
-    def _acquire_store_credit(self) -> None:
-        if self.store_credits.try_acquire():
-            return
-        # Event semantics: park and retry; functionally a drain always
-        # frees credits (acks are queued completions).
-        self.sim.drain()
-        if not self.store_credits.try_acquire():
-            raise SimulationError(
-                "store-buffer credit unavailable after drain "
-                "(functional-tier invariant violated)")
-
-    def _atomic_txn(self, line_addr: int, mask: int) -> None:
-        self._acquire_store_credit()
-        self._store_txns.add(1)
-        line = self.l1.probe(line_addr)
-        if line is not None:
-            line.valid_mask &= ~mask  # L1 copy is now stale
-            line.verified_mask &= ~mask
-        self.slices[self.route(line_addr)].receive_atomic(
-            line_addr, mask, self.store_credits.release)
-
-    def _store_txn(self, line_addr: int, mask: int) -> None:
-        self._acquire_store_credit()
-        self._store_txns.add(1)  # write-through, no-allocate
-        self.slices[self.route(line_addr)].receive_store(
-            line_addr, mask, self.store_credits.release)
-
-
-def replay(sms: List[FunctionalSm], queue: ImmediateQueue) -> None:
-    """Drive all warps round-robin (one op per warp per round) until
-    every trace is exhausted — the functional analogue of the event
-    tier's ready-warp rotation."""
-    active: List[Tuple[FunctionalSm, int]] = [
-        (sm, w) for sm in sms for w in range(sm.num_warps)]
-    while active:
-        active = [(sm, w) for sm, w in active if sm.step(w)]
-    for sm in sms:
-        sm._warps.clear()
-    queue.drain()
-
-
-# -- columnar (vectorized) replay --------------------------------------------
-
-
-class _ColumnarSmState:
-    """Per-SM lean replay state for :func:`replay_columnar`.
-
-    Replicates the *observable* behavior of the scalar
-    :class:`FunctionalSm` front end — the exact LRU sectored L1,
-    MSHR/store-credit accounting and every flattened counter — with
-    plain dicts and local integers instead of per-access
-    :class:`~repro.sim.stats.Counter` calls and state-machine
-    dispatch.  One ``OrderedDict`` per set models true LRU exactly:
-    insertion order is fill order, ``move_to_end`` is the hit
-    promotion, ``popitem(last=False)`` the victim choice (the scalar
-    cache fills invalid ways first, but every fill becomes MRU
-    regardless of which physical way it landed in, so the dict's
-    recency order and the way-list policy order are the same total
-    order).  Each entry is a one-element list holding the valid
-    sector mask; a line whose mask was zeroed by atomics stays
-    resident (tag match, all sectors miss) and, like the scalar
-    cache, does not count as an eviction when displaced.
-    """
-
-    __slots__ = ("sets", "num_sets", "ways", "pending", "capacity",
-                 "credits", "hits", "sector_misses", "line_misses",
-                 "line_miss_sectors", "evictions", "mshr_allocs",
-                 "rejections")
-
-    def __init__(self, sm: FunctionalSm):
-        l1 = sm.l1
-        self.num_sets = l1.num_sets
-        self.ways = l1.ways
-        self.sets: List[OrderedDict] = [
-            OrderedDict() for _ in range(l1.num_sets)]
-        #: line -> sector mask still awaiting L2 fill (the lean MSHR
-        #: file; must be empty at every op boundary on the serialized
-        #: replay, which :func:`replay_columnar` asserts).
-        self.pending: Dict[int, int] = {}
-        self.capacity = sm.store_credits.capacity
-        self.credits = 0
-        self.hits = 0
-        self.sector_misses = 0
-        self.line_misses = 0
-        self.line_miss_sectors = 0
-        self.evictions = 0
-        self.mshr_allocs = 0
-        self.rejections = 0
-
-    def fill(self, line_addr: int, granted: int) -> None:
-        """L2 fill callback — mirror of :meth:`FunctionalSm._l1_fill`:
-        allocate (evicting like the scalar cache, without promotion of
-        an already-resident line), install the granted sectors, retire
-        the pending-fill entry."""
-        sd = self.sets[line_addr % self.num_sets]
-        ent = sd.get(line_addr)
-        if ent is None:
-            if len(sd) >= self.ways:
-                _victim, vent = sd.popitem(last=False)
-                if vent[0]:
-                    self.evictions += 1
-            ent = [0]
-            sd[line_addr] = ent
-        ent[0] |= granted
-        rem = self.pending.get(line_addr)
+    def _fill(self, line_addr: int, granted: int) -> None:
+        """L2 fill: install the granted sectors, retire the pending fill."""
+        self.l1.fill(line_addr, granted)
+        rem = self._pending.get(line_addr)
         if rem is not None:
             rem &= ~granted
             if rem:
-                self.pending[line_addr] = rem
+                self._pending[line_addr] = rem
             else:
-                del self.pending[line_addr]
+                del self._pending[line_addr]
 
-    def release(self) -> None:
-        """Store/atomic ack from the L2 — frees one store credit."""
-        self.credits -= 1
+    def _release(self) -> None:
+        """Store/atomic ack from the L2: frees one store credit."""
+        self._credits -= 1
 
 
 def replay_columnar(compiled, sms: List[FunctionalSm],
                     slices: List, queue: ImmediateQueue,
                     slice_chunk_bytes: int) -> None:
-    """Vectorized functional replay of a columnar trace artifact.
+    """The functional tier's replay of a columnar trace artifact.
 
-    Bit-for-bit equivalent to :func:`replay` over the same traces on
-    **any** configuration: the scalar loop drains the queue after
-    every memory op, so execution is serialized at op granularity and
-    its round-robin rotation is a fixed total order — which
-    :func:`repro.gpu.columnar.round_robin_order` precomputes.  With
-    the order and the per-op coalesced transactions both compile-time
-    data, replay reduces to:
+    Warps run round-robin, one op per still-active warp per round, in
+    flattened SM-major warp order, and the queue is drained after every
+    memory op.  Execution is therefore serialized at op granularity and
+    the rotation is a fixed total order, which
+    :func:`repro.gpu.columnar.round_robin_order` precomputes.  With the
+    order and the per-op coalesced transactions both compile-time data,
+    replay reduces to:
 
     * **batched bookkeeping** — instruction/op-kind/transaction
       counters are exact functions of the artifact, summed per SM in
       numpy and added once (compute ops cost *nothing* per-op);
-    * **a lean L1 pass** (:class:`_ColumnarSmState`) over the
-      transaction columns, touching local integers on the hit path;
+    * **a lean L1 pass** (:class:`FunctionalL1`) over the transaction
+      columns, counting in plain integers on the hit path;
     * **the verbatim L2/scheme machinery** for every miss, store and
-      atomic — exactly the micro-tasks the scalar tier runs, drained
-      at the same op boundaries, so the protection-layer state
+      atomic, drained at op boundaries, so the protection-layer state
       machines (the part the paper is about) are never reimplemented.
 
     Raises :class:`SimulationError` if an L2 fill fails to complete
@@ -472,14 +401,8 @@ def replay_columnar(compiled, sms: List[FunctionalSm],
     from repro.gpu.columnar import (OP_ATOMIC, OP_COMPUTE, OP_LOAD,
                                     round_robin_order)
 
-    for sm in sms:
-        if sm.l1._policy_name != "lru":
-            raise ValueError("columnar replay models the functional "
-                             "tier's LRU L1 only")
     n = len(sms)
     if compiled.num_ops == 0 or n == 0:
-        for sm in sms:
-            sm._warps.clear()
         queue.drain()
         return
 
@@ -524,106 +447,71 @@ def replay_columnar(compiled, sms: List[FunctionalSm],
     tm = compiled.txn_mask.tolist()
     rt = routes.tolist()
 
-    states = [_ColumnarSmState(sm) for sm in sms]
+    mshr_allocs = [0] * n
+    rejections = [0] * n
     drain = queue.drain
     for i in range(len(sched_kind)):
-        st = states[sched_sm[i]]
+        si = sched_sm[i]
+        sm = sms[si]
         k = sched_kind[i]
-        s = sched_start[i]
-        e = sched_end[i]
         if k == OP_LOAD:
-            sets = st.sets
-            nsets = st.num_sets
-            pending = st.pending
-            missed = False
-            for t in range(s, e):
+            lookup = sm.l1.lookup
+            pending = sm._pending
+            fill = sm._fill
+            missed = 0
+            for t in range(sched_start[i], sched_end[i]):
                 line = tl[t]
-                mask = tm[t]
-                sd = sets[line % nsets]
-                ent = sd.get(line)
-                if ent is None:
-                    st.line_misses += 1
-                    st.line_miss_sectors += mask.bit_count()
-                    miss = mask
-                else:
-                    valid = ent[0]
-                    hit = mask & valid
-                    miss = mask & ~valid
-                    if hit:
-                        st.hits += hit.bit_count()
-                        sd.move_to_end(line)
-                    if miss:
-                        st.sector_misses += miss.bit_count()
-                    else:
-                        continue
-                st.mshr_allocs += 1
-                pending[line] = miss
-                missed = True
-                slices[rt[t]].receive_load(line, miss,
-                                           partial(st.fill, line))
+                miss = lookup(line, tm[t])
+                if miss:
+                    missed += 1
+                    pending[line] = miss
+                    slices[rt[t]].receive_load(line, miss,
+                                               partial(fill, line))
             if missed:
+                mshr_allocs[si] += missed
                 drain()
                 if pending:
                     raise SimulationError(
                         "columnar replay: an L2 fill did not complete "
                         "within its op's drain — the serialized-replay "
-                        "contract is broken (use the scalar tier)")
-        elif k == OP_ATOMIC:
-            release = st.release
-            sets = st.sets
-            nsets = st.num_sets
-            for t in range(s, e):
-                if st.credits >= st.capacity:
-                    st.rejections += 1
-                    drain()
-                    if st.credits >= st.capacity:
-                        st.rejections += 1
-                        raise SimulationError(
-                            "store-buffer credit unavailable after drain "
-                            "(functional-tier invariant violated)")
-                st.credits += 1
-                line = tl[t]
-                mask = tm[t]
-                ent = sets[line % nsets].get(line)
-                if ent is not None:
-                    ent[0] &= ~mask  # L1 copy is now stale
+                        "contract is broken")
+            continue
+        # Stores and atomics: write-through, no-allocate; an atomic
+        # also makes the L1 copy of its sectors stale.
+        release = sm._release
+        capacity = sm.store_credits.capacity
+        for t in range(sched_start[i], sched_end[i]):
+            if sm._credits >= capacity:
+                rejections[si] += 1
+                drain()
+                if sm._credits >= capacity:
+                    rejections[si] += 1
+                    raise SimulationError(
+                        "store-buffer credit unavailable after drain "
+                        "(functional-tier invariant violated)")
+            sm._credits += 1
+            line = tl[t]
+            mask = tm[t]
+            if k == OP_ATOMIC:
+                sm.l1.invalidate(line, mask)
                 slices[rt[t]].receive_atomic(line, mask, release)
-            drain()
-        else:  # OP_STORE: write-through, no-allocate — L1 untouched
-            release = st.release
-            for t in range(s, e):
-                if st.credits >= st.capacity:
-                    st.rejections += 1
-                    drain()
-                    if st.credits >= st.capacity:
-                        st.rejections += 1
-                        raise SimulationError(
-                            "store-buffer credit unavailable after drain "
-                            "(functional-tier invariant violated)")
-                st.credits += 1
-                slices[rt[t]].receive_store(tl[t], tm[t], release)
-            drain()
+            else:
+                slices[rt[t]].receive_store(line, mask, release)
+        drain()
 
-    # Flush the batched counters into the same stat tree the scalar
-    # tier populates — flattened results are key- and bit-compatible.
+    # Flush the batched counters into the same stat tree the event tier
+    # populates — flattened results are key- and bit-compatible.
     for i, sm in enumerate(sms):
-        st = states[i]
         sm._instructions.add(int(instructions[i]))
         sm._loads.add(int(loads[i]))
         sm._stores.add(int(stores[i]))
         sm._atomics.add(int(atomics[i]))
         sm._load_txns.add(int(load_txns[i]))
         sm._store_txns.add(int(store_txns[i]))
-        l1_stats = sm.l1.stats
-        l1_stats.get("hits").add(st.hits)
-        l1_stats.get("sector_misses").add(st.sector_misses)
-        l1_stats.get("line_misses").add(st.line_misses)
-        l1_stats.get("line_miss_sectors").add(st.line_miss_sectors)
-        l1_stats.get("evictions").add(st.evictions)
-        sm.l1_mshrs.stats.get("allocations").add(st.mshr_allocs)
+        sm.l1.publish()
+        sm.l1_mshrs.stats.get("allocations").add(mshr_allocs[i])
         sm.store_credits.acquires.add(int(store_txns[i]))
-        sm.store_credits.full_rejections.add(st.rejections)
-        sm._warps.clear()
+        sm.store_credits.full_rejections.add(rejections[i])
     queue.drain()
 
 

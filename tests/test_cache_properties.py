@@ -5,6 +5,8 @@ from hypothesis import strategies as st
 
 from repro.cache.replacement import LruPolicy
 from repro.cache.sectored import SectoredCache
+from repro.sim.functional import FunctionalL1
+from repro.sim.stats import StatGroup
 
 
 @st.composite
@@ -87,3 +89,51 @@ def test_lookup_after_fill_always_hits(fills):
     for line_addr, sector in fills:
         hit_mask, _ = cache.lookup_mask(line_addr, 1 << sector)
         assert hit_mask == 1 << sector
+
+
+@st.composite
+def l1_op_sequences(draw):
+    """(kind, line_addr, sector_mask) ops an SM's L1 sees: load
+    lookups, L2 fills and atomic invalidations.  Full-line masks are
+    drawn often, so atomics also empty whole lines that must then stay
+    resident and be evicted without counting."""
+    n = draw(st.integers(5, 120))
+    masks = st.one_of(st.just(0b1111), st.integers(1, 0b1111))
+    return [
+        (draw(st.sampled_from(("load", "fill", "atomic"))),
+         draw(st.integers(0, 40)), draw(masks))
+        for _ in range(n)
+    ]
+
+
+@given(l1_op_sequences())
+@settings(max_examples=80)
+def test_functional_l1_matches_sectored_lru_cache(seq):
+    """The functional tier's lean L1 and an LRU ``SectoredCache`` driven
+    the way the event SM drives its L1 agree on every hit, miss and
+    eviction count, and on which sectors stay resident."""
+    ref = SectoredCache("l1", 4096, 2, line_bytes=128, sector_bytes=32,
+                        stats=StatGroup("sm"))
+    lean = FunctionalL1(4096, 2, 128, StatGroup("sm"))
+    for kind, line_addr, mask in seq:
+        if kind == "load":
+            hit, _line = ref.lookup_mask(line_addr, mask,
+                                         require_verified=False)
+            assert lean.lookup(line_addr, mask) == mask & ~hit
+        elif kind == "fill":
+            line, _evicted = ref.allocate(line_addr)
+            ref.fill_sectors(line, mask, dirty=False, verified=True)
+            lean.fill(line_addr, mask)
+        else:  # an atomic makes the L1 copy of its sectors stale
+            line = ref.probe(line_addr)
+            if line is not None:
+                line.valid_mask &= ~mask
+                line.verified_mask &= ~mask
+            lean.invalidate(line_addr, mask)
+    lean.publish()
+    assert lean.stats.flatten() == ref.stats.flatten()
+    assert lean.occupancy() == ref.occupancy()
+    for line_addr in range(41):
+        line = ref.probe(line_addr)
+        resident = lean.sets[line_addr % lean.num_sets].get(line_addr)
+        assert resident == (None if line is None else line.valid_mask)

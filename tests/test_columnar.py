@@ -5,7 +5,7 @@ The bit-for-bit oracle for the replay itself is
 ``tests/test_fidelity_parity.py`` (the full workload x scheme grid
 runs the columnar path by default); this file covers the IR's own
 contracts — lossless lowering, digest stability, the binary
-container, the compiled-artifact memo — plus scalar-vs-columnar
+container, the compiled-artifact memo — plus loaded-vs-hand-added
 counter equality on *concurrent* (multi-SM, multi-warp) shapes the
 parity grid's serialized machine does not exercise.
 """
@@ -107,8 +107,8 @@ class TestCompile:
 
 class TestRoundRobinOrder:
     def test_rotation_matches_scalar_replay(self):
-        # 2 warps on sm0 (3 and 1 ops), 1 on sm1 (2 ops): the scalar
-        # loop visits w0,w1,w2 then w0,w2 then w0.
+        # 2 warps on sm0 (3 and 1 ops), 1 on sm1 (2 ops): one op per
+        # active warp per round visits w0,w1,w2 then w0,w2 then w0.
         traces = [
             [[ComputeOp(1)] * 3, [ComputeOp(1)]],
             [[ComputeOp(1)] * 2],
@@ -224,23 +224,32 @@ class TestCompiledMemo:
 
 
 class TestReplayEquivalence:
-    """Scalar vs columnar functional replay on concurrent shapes.
+    """The replay's two artifact sources agree on concurrent shapes.
 
-    The serialized parity grid pins 1 SM / 1 warp / 1 lane; here the
-    two replay paths must agree on *any* shape, because the columnar
-    order is the scalar rotation and the queue drains at the same op
-    boundaries."""
+    ``load_workload`` hands the replay the memoized artifact; warps
+    added with ``sm.add_warp`` are compiled when the kernel runs.  The
+    same traces must give the same counters either way.  The reference
+    for the replay itself is ``tests/test_functional_golden.py``."""
 
     CTX = GenContext(num_sms=2, warps_per_sm=3, scale=0.05, seed=7)
 
-    def _run(self, workload, scheme, columnar):
+    @staticmethod
+    def _system(scheme, obs=None):
         from repro.core.system import GpuSystem
 
         config = small_config(num_sms=2, warps_per_sm=3) \
             .with_scheme(scheme).with_fidelity("functional")
-        system = GpuSystem(config)
-        system.columnar_enabled = columnar
-        system.load_workload(make_workload(workload), self.CTX)
+        return GpuSystem(config, obs=obs)
+
+    def _run(self, workload, scheme, hand_added):
+        system = self._system(scheme)
+        if hand_added:
+            traces = materialize(make_workload(workload), self.CTX)
+            for sm, warps in zip(system.sms, traces):
+                for ops in warps:
+                    sm.add_warp(ops)
+        else:
+            system.load_workload(make_workload(workload), self.CTX)
         system.run()
         return system.result(workload, 0)
 
@@ -252,15 +261,10 @@ class TestReplayEquivalence:
         ("stencil3d", "sideband"),
     ])
     def test_counters_and_traffic_match(self, workload, scheme):
-        scalar = self._run(workload, scheme, columnar=False)
-        columnar = self._run(workload, scheme, columnar=True)
-        assert columnar.traffic == scalar.traffic
-        mismatched = {
-            key: (scalar.stats.get(key), columnar.stats.get(key))
-            for key in set(scalar.stats) | set(columnar.stats)
-            if key != "engine.events"
-            and scalar.stats.get(key) != columnar.stats.get(key)}
-        assert not mismatched
+        loaded = self._run(workload, scheme, hand_added=False)
+        hand = self._run(workload, scheme, hand_added=True)
+        assert hand.traffic == loaded.traffic
+        assert hand.stats == loaded.stats
 
     def test_columnar_engages_by_default(self, monkeypatch):
         import repro.core.system as system_mod
@@ -270,43 +274,31 @@ class TestReplayEquivalence:
         monkeypatch.setattr(system_mod, "replay_columnar",
                             lambda *a, **k: (calls.append(1),
                                              real(*a, **k))[1])
-        self._run("vecadd", "none", columnar=True)
+        self._run("vecadd", "none", hand_added=False)
         assert calls
 
-    def test_flame_profiling_falls_back_to_scalar(self):
-        from repro.core.system import GpuSystem
+    def test_flame_profiling_roots_at_replay(self):
         from repro.obs.flame import FlameProfiler
         from repro.obs.hub import Observability
 
-        config = small_config(num_sms=2, warps_per_sm=3) \
-            .with_scheme("none").with_fidelity("functional")
         flame = FlameProfiler(sample_every=4)
-        system = GpuSystem(config, obs=Observability(flame=flame))
+        system = self._system("none", obs=Observability(flame=flame))
         system.load_workload(make_workload("vecadd"), self.CTX)
-        system.run()  # scalar path: flame wraps sm.step
+        system.run()
         assert flame.sample_count > 0
-        assert any(stack and stack[0].endswith(".step")
+        assert any(stack and stack[0] == "functional.replay"
                    for stack in flame.samples)
 
-    def test_manual_add_warp_falls_back_to_scalar(self):
-        from repro.core.system import GpuSystem
+    def test_manual_add_warp_is_compiled(self):
         from repro.gpu.trace import MemoryOp as M
 
-        config = small_config(num_sms=2, warps_per_sm=3) \
-            .with_scheme("none").with_fidelity("functional")
-        system = GpuSystem(config)
+        system = self._system("none")
         system.load_workload(make_workload("vecadd"), self.CTX)
         system.sms[0].add_warp([M((0, 4))])  # not in the artifact
         system.run()  # must not lose the extra warp
-        loads = sum(v for k, v in system.stats.flatten().items()
-                    if k.endswith(".loads"))
-        config2 = small_config(num_sms=2, warps_per_sm=3) \
-            .with_scheme("none").with_fidelity("functional")
-        ref = GpuSystem(config2)
-        ref.columnar_enabled = False
-        ref.load_workload(make_workload("vecadd"), self.CTX)
-        ref.sms[0].add_warp([M((0, 4))])
-        ref.run()
-        ref_loads = sum(v for k, v in ref.stats.flatten().items()
-                        if k.endswith(".loads"))
-        assert loads == ref_loads
+        loaded = self._run("vecadd", "none", hand_added=False)
+        stats = system.stats.flatten()
+        assert stats["sm0.loads"] == loaded.stats["sm0.loads"] + 1
+        assert stats["sm0.instructions"] \
+            == loaded.stats["sm0.instructions"] + 1
+        assert system.sms[0].done

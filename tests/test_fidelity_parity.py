@@ -12,6 +12,7 @@ import pytest
 
 from repro.core.config import ALL_SCHEMES, SystemConfig
 from repro.core.config import test_config as parity_config
+from repro.core.scenario import producer_consumer
 from repro.core.system import GpuSystem, run_workload
 from repro.sim.functional import is_timing_only_stat, parity_diff
 from repro.workloads.base import WORKLOAD_REGISTRY, GenContext, make_workload
@@ -142,3 +143,32 @@ class TestThroughput:
         event = _run("vecadd", "cachecraft", "event")
         functional = _run("vecadd", "cachecraft", "functional")
         assert functional.events_executed < event.events_executed / 2
+
+
+class TestMultiKernel:
+    """Two kernels back to back on one system: per-kernel parity holds
+    only if the L1, L2, metadata and directory state carry over from
+    the producer to the consumer identically on both tiers."""
+
+    @pytest.mark.parametrize("scheme", ALL_SCHEMES)
+    @pytest.mark.parametrize("workload", ["vecadd", "histogram"])
+    def test_producer_consumer_parity_per_kernel(self, workload, scheme):
+        outcomes = {}
+        for fidelity in ("event", "functional"):
+            config = parity_config(**PARITY_GPU).with_scheme(scheme) \
+                .with_fidelity(fidelity)
+            outcomes[fidelity] = producer_consumer(
+                make_workload(workload), make_workload(workload),
+                config=config).run(gen_ctx=PARITY_CTX)
+        kernels = zip(outcomes["event"].kernels,
+                      outcomes["functional"].kernels)
+        for index, (event, functional) in enumerate(kernels):
+            problems = parity_diff(event.stats, functional.stats)
+            assert not problems, (
+                f"kernel {index}: {len(problems)} parity violations:\n"
+                + "\n".join(problems[:20]))
+            assert functional.traffic == event.traffic
+        # The consumer re-reads the producer's inputs from a warm L1.
+        first, both = (k.stats["sm0.l1.hits"]
+                       for k in outcomes["functional"].kernels)
+        assert both - first > first

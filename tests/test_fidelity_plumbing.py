@@ -270,11 +270,11 @@ class TestLedgerAndRegressFidelity:
 
         payload = {"raw_engine": {"events_per_sec": 10},
                    "real_sim": {"events_per_sec": 2},
-                   "functional_sim": {"events_per_sec": 20}}
+                   "columnar_sim": {"events_per_sec": 20}}
         rec = record_from_bench(payload)
-        assert rec["metrics"]["functional_events_per_sec"] == 20
+        assert rec["metrics"]["columnar_events_per_sec"] == 20
         legacy = record_from_bench({"raw_engine": {}, "real_sim": {}})
-        assert "functional_events_per_sec" not in legacy["metrics"]
+        assert "columnar_events_per_sec" not in legacy["metrics"]
 
 
 class TestHarnessFidelity:

@@ -150,11 +150,11 @@ class TestStackContent:
         assert any(f.startswith("sm") for f in frames)
         assert any("CacheCraft" in f or "cachecraft" in f for f in frames)
 
-    def test_functional_tier_roots_at_sm_step(self, small_config, tiny_gen):
+    def test_functional_tier_roots_at_replay(self, small_config, tiny_gen):
         flame, _ = profiled_run(small_config, tiny_gen,
                                 fidelity="functional", sample_every=4)
         roots = {stack[0] for stack in flame.samples if stack}
-        assert any(r.endswith(".step") for r in roots)
+        assert "functional.replay" in roots
 
 
 class TestFlameCli:

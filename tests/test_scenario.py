@@ -5,7 +5,7 @@ import pytest
 from repro.analysis.validation import validate_drained
 from repro.core.config import test_config as make_test_config
 from repro.core.scenario import KernelLaunch, Scenario, producer_consumer
-from repro.core.system import run_workload
+from repro.core.system import GpuSystem, run_workload
 from repro.workloads import make_workload
 from repro.workloads.base import GenContext
 
@@ -86,17 +86,11 @@ class TestStatePersistence:
 
     def test_system_drained_after_scenario(self):
         config = make_test_config().with_scheme("cachecraft")
-        scenario = Scenario([KernelLaunch(make_workload("vecadd")),
-                             KernelLaunch(make_workload("histogram"))],
-                            config=config)
-        # Rebuild manually to inspect the system afterwards.
-        from repro.core.system import GpuSystem
-        system = GpuSystem(config)
-        system.load_workload(make_workload("vecadd"), GEN)
-        for sm in system.sms:
-            sm.start()
-        system.sim.run()
-        assert validate_drained(system) == []
+        outcome = Scenario([KernelLaunch(make_workload("vecadd")),
+                            KernelLaunch(make_workload("histogram"))],
+                           config=config).run(gen_ctx=GEN)
+        assert validate_drained(outcome.system) == []
+        assert all(sm.done for sm in outcome.system.sms)
 
     def test_matches_single_run_when_one_kernel(self):
         config = make_test_config().with_scheme("metadata-cache")
@@ -104,3 +98,49 @@ class TestStatePersistence:
         outcome = Scenario([KernelLaunch(make_workload("vecadd"))],
                            config=config).run(gen_ctx=GEN)
         assert outcome.kernels[0].cycles == single.cycles
+
+
+class TestFunctionalTier:
+    """Scenarios run on the clock-free tier through the same kernel
+    sequence; caches and protection state persist across kernels."""
+
+    @staticmethod
+    def functional_scenario(kernels=("vecadd", "histogram")):
+        config = make_test_config().with_scheme("cachecraft") \
+            .with_fidelity("functional")
+        return Scenario([KernelLaunch(make_workload(k)) for k in kernels],
+                        config=config)
+
+    def test_two_kernels_run_and_traffic_sums(self):
+        outcome = self.functional_scenario().run(gen_ctx=GEN)
+        assert [k.workload for k in outcome.kernels] \
+            == ["vecadd", "histogram"]
+        assert outcome.total_cycles == 0
+        assert all(k.fidelity == "functional" for k in outcome.kernels)
+        assert all(k.traffic for k in outcome.kernels)
+        for kind, total in outcome.traffic.items():
+            assert total == sum(k.traffic.get(kind, 0)
+                                for k in outcome.kernels), kind
+
+    def test_system_drained_after_scenario(self):
+        outcome = self.functional_scenario().run(gen_ctx=GEN)
+        assert validate_drained(outcome.system) == []
+
+    def test_validate_drained_after_single_run(self):
+        config = make_test_config().with_fidelity("functional")
+        system = GpuSystem(config)
+        system.load_workload(make_workload("vecadd"), GEN)
+        system.run()
+        assert validate_drained(system) == []
+
+    def test_l1_state_survives_the_replay(self):
+        """After a run the L1 holds what the kernel loaded (vecadd on
+        2 SMs x 3 warps fills 78.125% of each SM's lines)."""
+        config = make_test_config(num_sms=2, warps_per_sm=3) \
+            .with_scheme("cachecraft").with_fidelity("functional")
+        system = GpuSystem(config)
+        system.load_workload(
+            make_workload("vecadd"),
+            GenContext(num_sms=2, warps_per_sm=3, scale=0.05, seed=7))
+        system.run()
+        assert [sm.l1.occupancy() for sm in system.sms] == [0.78125] * 2
