@@ -14,7 +14,7 @@ from typing import Any, Callable, Dict, List, Optional
 from repro.sim.stats import Counter, StatGroup
 
 
-@dataclass
+@dataclass(slots=True)
 class MshrEntry:
     """One in-flight miss: target line plus merged waiters."""
 

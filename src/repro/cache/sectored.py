@@ -30,7 +30,7 @@ class LookupResult(enum.Enum):
     MISS_LINE = "miss_line"      # no matching tag
 
 
-@dataclass
+@dataclass(slots=True)
 class CacheLine:
     """Tag + per-sector state.  Masks are bit-per-sector ints."""
 
@@ -57,7 +57,7 @@ class CacheLine:
         self.is_metadata = False
 
 
-@dataclass
+@dataclass(slots=True)
 class Eviction:
     """What fell out of the cache on an allocation."""
 
@@ -109,12 +109,19 @@ class SectoredCache:
         self._full_mask = (1 << self.sectors_per_line) - 1
         self._policy_name = policy
 
-        self._sets: List[List[CacheLine]] = [
-            [CacheLine() for _ in range(ways)] for _ in range(self.num_sets)
+        # State is built on first use: a way holds ``None`` until an
+        # allocation first picks it, and a set's replacement policy is
+        # built on its first allocation.  Building one policy here
+        # still rejects a bad name or geometry at construction.
+        make_policy(policy, ways)
+        self._sets: List[List[Optional[CacheLine]]] = [
+            [None] * ways for _ in range(self.num_sets)
         ]
-        self._policies: List[ReplacementPolicy] = [
-            make_policy(policy, ways) for _ in range(self.num_sets)
-        ]
+        self._policies: List[Optional[ReplacementPolicy]] = \
+            [None] * self.num_sets
+        #: Tagged lines per set (``line_addr >= 0``); a full set skips
+        #: the scan for a free way.
+        self._occupied: List[int] = [0] * self.num_sets
         # line_addr -> (set, way) for O(1) probes.
         self._directory: Dict[int, Tuple[int, int]] = {}
         #: Opt-in per-set introspection view; set exclusively by
@@ -284,16 +291,22 @@ class SectoredCache:
         set_idx = self.set_of(line_addr)
         ways = self._sets[set_idx]
         policy = self._policies[set_idx]
+        if policy is None:
+            policy = self._policies[set_idx] = make_policy(
+                self._policy_name, self.ways)
         if self.metadata_ways:
             allowed = (range(0, self.metadata_ways) if is_metadata
                        else range(self.metadata_ways, self.ways))
         else:
             allowed = range(self.ways)
         way = None
-        for w in allowed:
-            if ways[w].line_addr < 0:
-                way = w
-                break
+        if self._occupied[set_idx] < self.ways:
+            for w in allowed:
+                occupant = ways[w]
+                if occupant is None or occupant.line_addr < 0:
+                    way = w
+                    self._occupied[set_idx] += 1
+                    break
         evicted: Optional[Eviction] = None
         if way is None:
             way = (policy.victim_among(list(allowed)) if self.metadata_ways
@@ -314,14 +327,16 @@ class SectoredCache:
                         len(self._directory) < self.num_sets * self.ways)
             del self._directory[victim.line_addr]
         line = ways[way]
-        line.reset()
-        line.line_addr = line_addr
-        line.is_metadata = is_metadata
+        if line is None:
+            line = ways[way] = CacheLine(line_addr, is_metadata=is_metadata)
+        else:
+            line.reset()
+            line.line_addr = line_addr
+            line.is_metadata = is_metadata
         self._directory[line_addr] = (set_idx, way)
         policy.on_fill(way, low_priority=low_priority)
         if self._insp is not None:
-            self._insp.filled(
-                set_idx, sum(1 for w in ways if w.line_addr >= 0))
+            self._insp.filled(set_idx, self._occupied[set_idx])
         if is_metadata:
             self._metadata_fills.add(1)
         return line, evicted
@@ -387,6 +402,7 @@ class SectoredCache:
                 self._insp.invalidated(loc[0])
         line.reset()
         del self._directory[line_addr]
+        self._occupied[loc[0]] -= 1
         return evicted if evicted.needs_writeback else None
 
     def flush(self) -> List[Eviction]:

@@ -38,8 +38,13 @@ class RequestKind(enum.Enum):
     METADATA_WRITE = "metadata_write"  # metadata update on writeback
     RETRY = "retry"                # recovery replay of a DUE granule
 
+    # Members are singletons, so identity hashing is exact; it replaces
+    # ``Enum.__hash__`` (a Python-level call) on the per-request
+    # ``_bytes_by_kind`` accounting of both channel models.
+    __hash__ = object.__hash__
 
-@dataclass
+
+@dataclass(slots=True)
 class DramRequest:
     """One 32 B-atom access."""
 

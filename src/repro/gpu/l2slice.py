@@ -13,7 +13,7 @@ data).
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 from repro.cache.mshr import MshrFile
 from repro.cache.sectored import SectoredCache
@@ -283,14 +283,3 @@ class L2Slice:
         self.sim.schedule(0, self.protection.writeback, self.slice_id,
                           eviction.line_addr, eviction.dirty_mask,
                           eviction.valid_mask, eviction.is_metadata)
-
-
-def _bits(mask: int) -> List[int]:
-    out = []
-    sector = 0
-    while mask:
-        if mask & 1:
-            out.append(sector)
-        mask >>= 1
-        sector += 1
-    return out

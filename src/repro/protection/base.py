@@ -265,6 +265,12 @@ class ProtectionScheme(abc.ABC):
         if not runs:
             ctx.sim.schedule(0, on_done)
             return
+        base = line_addr * ctx.line_bytes
+        if len(runs) == 1:
+            start, length = runs[0]
+            ctx.dram_read(slice_id, base + start * ctx.sector_bytes,
+                          kind, on_done, atoms=length)
+            return
         remaining = [len(runs)]
 
         def one_done() -> None:
@@ -272,7 +278,6 @@ class ProtectionScheme(abc.ABC):
             if remaining[0] == 0:
                 on_done()
 
-        base = line_addr * ctx.line_bytes
         for start, length in runs:
             ctx.dram_read(slice_id, base + start * ctx.sector_bytes,
                           kind, one_done, atoms=length)
@@ -311,10 +316,6 @@ class ProtectionScheme(abc.ABC):
             self._decode_due.add(1)
         return result.status
 
-    def functional_verify(self, granule: int) -> None:
-        """Count-only verification (legacy name; see :meth:`verify_status`)."""
-        self.verify_status(granule)
-
     def verify_granules_then(self, slice_id: int, granules,
                              proceed: Callable[[], None]) -> None:
         """Verify granules, then run ``proceed`` after the check latency.
@@ -330,8 +331,12 @@ class ProtectionScheme(abc.ABC):
         assert ctx is not None
         recovery = ctx.recovery
         if recovery is None:
-            for granule in granules:
-                self.functional_verify(granule)
+            if ctx.functional is None:
+                # Every decode is clean without a functional store.
+                self._decode_clean.add(len(granules))
+            else:
+                for granule in granules:
+                    self.verify_status(granule)
             ctx.sim.schedule(ctx.ecc_check_latency, proceed)
             return
         distinct = list(dict.fromkeys(granules))

@@ -20,26 +20,38 @@ def access_sequences(draw):
     ]
 
 
-@given(access_sequences())
-@settings(max_examples=60)
-def test_cache_directory_invariants(seq):
-    """After any access sequence: directory matches array state, masks
-    stay within the line, dirty implies valid."""
-    cache = SectoredCache("c", 4096, 2, line_bytes=128, sector_bytes=32)
-    for line_addr, sector, is_write in seq:
-        line, _ev = cache.allocate(line_addr)
-        cache.fill_sector(line, sector, dirty=is_write)
-
+def _check_directory(cache: SectoredCache) -> None:
     seen = set()
     for set_idx, ways in enumerate(cache._sets):
+        tagged = 0
         for way, line in enumerate(ways):
-            if line.line_addr >= 0:
+            if line is not None and line.line_addr >= 0:
+                tagged += 1
                 assert cache._directory[line.line_addr] == (set_idx, way)
                 assert line.valid_mask <= cache.full_sector_mask
                 assert line.dirty_mask & ~line.valid_mask == 0
                 assert line.verified_mask & ~line.valid_mask == 0
                 seen.add(line.line_addr)
+        assert cache._occupied[set_idx] == tagged
     assert seen == set(cache._directory)
+
+
+@given(access_sequences())
+@settings(max_examples=60)
+def test_cache_directory_invariants(seq):
+    """After any access sequence, and again after invalidating every
+    other resident line: directory matches array state, masks stay
+    within the line, dirty implies valid, and each set's occupancy
+    count equals its tagged lines.  Ways never allocated hold ``None``
+    and are skipped."""
+    cache = SectoredCache("c", 4096, 2, line_bytes=128, sector_bytes=32)
+    for line_addr, sector, is_write in seq:
+        line, _ev = cache.allocate(line_addr)
+        cache.fill_sector(line, sector, dirty=is_write)
+    _check_directory(cache)
+    for line_addr in list(cache._directory)[::2]:
+        cache.invalidate(line_addr)
+    _check_directory(cache)
 
 
 @given(access_sequences())
