@@ -20,7 +20,6 @@ from repro.core.config import ALL_SCHEMES, FIDELITIES, SystemConfig
 from repro.core.results import RunResult
 from repro.core.system import run_workload
 from repro.obs.ledger import RunLedger, record_from_result, resolve_ledger
-from repro.obs.progress import ProgressWriter
 from repro.obs.structlog import NullLog, resolve_log, run_context
 from repro.sim.engine import Watchdog
 from repro.workloads import make_workload
@@ -66,8 +65,7 @@ class ExperimentHarness:
                                RunLedger] = None,
                  ledger_label: str = "harness",
                  fidelity: str = "event",
-                 log: Union[None, bool, str, os.PathLike, NullLog] = None,
-                 progress_dir: Union[None, str, os.PathLike] = None):
+                 log: Union[None, bool, str, os.PathLike, NullLog] = None):
         if fidelity not in FIDELITIES:
             raise ValueError(
                 f"unknown fidelity {fidelity!r}; known: {FIDELITIES}")
@@ -110,19 +108,14 @@ class ExperimentHarness:
         self._ledger_logged: set = set()
         #: Structured event log (see :mod:`repro.obs.structlog`):
         #: cell lifecycle, cache traffic and pool fan-out narrate into
-        #: a JSONL file shared by every process of the run.
+        #: a JSONL file shared by every process of the run, which
+        #: ``obs top`` / ``--live`` fold (:mod:`repro.obs.progress`).
         #: ``None``/``True`` uses the environment default
         #: (``REPRO_LOG``); ``False`` opts out.
         self.log = resolve_log(log)
         if self.log.enabled:
             self.log = self.log.bind(**run_context(
                 run=ledger_label, fidelity=fidelity))
-        #: Live progress channel (see :mod:`repro.obs.progress`): when
-        #: a progress directory is given, every cell's lifecycle is
-        #: mirrored there for ``obs top`` / ``--live`` rendering.
-        self.progress: Optional[ProgressWriter] = (
-            ProgressWriter(progress_dir, role="parent")
-            if progress_dir else None)
         if self.result_cache is not None and self.log.enabled:
             self.result_cache.log = self.log
         #: Simulations actually executed by this harness (cache hits,
@@ -223,8 +216,6 @@ class ExperimentHarness:
         log = self.log.bind(cell=cell_id) if self.log.enabled else self.log
         if result is None:
             log.info("cell.start", scale=self.scale, seed=self.seed)
-            if self.progress is not None:
-                self.progress.cell(cell_id, "start")
             obs = (self.obs_factory(workload, scheme)
                    if self.obs_factory else None)
             watchdog = None
@@ -237,23 +228,14 @@ class ExperimentHarness:
                                       watchdog=watchdog)
             except Exception as exc:
                 log.error("cell.failed", error=f"{type(exc).__name__}: {exc}")
-                if self.progress is not None:
-                    self.progress.cell(cell_id, "failed",
-                                       error=f"{type(exc).__name__}: {exc}")
                 raise
             self.sims_run += 1
             self._persistent_put(workload, cfg, result)
             log.info("cell.done", cycles=result.cycles,
                      events=int(result.events_executed),
                      host_seconds=round(result.host_seconds, 3))
-            if self.progress is not None:
-                self.progress.cell(cell_id, "done",
-                                   events=int(result.events_executed),
-                                   host_seconds=round(result.host_seconds, 3))
         else:
             log.info("cell.cached", source="persistent")
-            if self.progress is not None:
-                self.progress.cell(cell_id, "cached")
         self._cache[key] = result
         self._ledger_record(workload, cfg, result, from_cache, key)
         return result
@@ -299,9 +281,7 @@ class ExperimentHarness:
             journal_path, workers=workers, timeout=timeout,
             max_attempts=max_attempts, retry_backoff=retry_backoff,
             retry_backoff_max=retry_backoff_max, degrade=degrade,
-            ledger=self.ledger, log=self.log,
-            progress_dir=(self.progress.dir if self.progress is not None
-                          else None))
+            ledger=self.ledger, log=self.log)
         return runner.run(cells, resume=resume, progress=progress)
 
     def matrix(self, workloads: Sequence[str],
@@ -319,9 +299,7 @@ class ExperimentHarness:
         the serial path regardless of completion order.  Results fill
         the same in-memory/persistent caches as serial runs.
         """
-        if self.progress is not None:
-            self.progress.plan(len(list(workloads)) * len(list(schemes)),
-                               label=self.ledger_label)
+        self.log.info("plan", total=len(workloads) * len(schemes))
         if workers is None or workers <= 1:
             return {
                 wl: {sc: self.run(wl, sc, config=config) for sc in schemes}
@@ -348,14 +326,11 @@ class ExperimentHarness:
             spec["max_events"] = self.max_events
         if self.max_wall_seconds is not None:
             spec["max_wall_seconds"] = self.max_wall_seconds
-        # Telemetry channels cross the process boundary by path: the
-        # worker opens its own appender on each (O_APPEND keeps the
-        # interleaving whole-record atomic).
+        # The log crosses the process boundary by path: the worker
+        # opens its own appender (O_APPEND keeps the interleaving
+        # whole-record atomic).
         if self.log.enabled:
             spec["log"] = str(self.log.path)
-            spec["log_level"] = getattr(self.log, "level", "debug")
-        if self.progress is not None:
-            spec["progress_dir"] = str(self.progress.dir)
         return spec
 
     def _matrix_parallel(self, workloads: List[str], schemes: List[str],
@@ -365,7 +340,7 @@ class ExperimentHarness:
         # the worker import would otherwise be circular at module load.
         from concurrent.futures import ProcessPoolExecutor
 
-        from repro.resilience.worker import run_cell_result
+        from repro.resilience.worker import run_pool_cell
 
         grid: Dict[str, Dict[str, RunResult]] = {wl: {} for wl in workloads}
         todo: List[Tuple[str, str, SystemConfig, Tuple]] = []
@@ -382,11 +357,8 @@ class ExperimentHarness:
                 if cached is not None:
                     grid[wl][sc] = cached
                     self._ledger_record(wl, cfg, cached, True, key)
-                    if self.log.enabled:
-                        self.log.info("cell.cached", cell=f"{wl}/{sc}",
-                                      source="persistent")
-                    if self.progress is not None:
-                        self.progress.cell(f"{wl}/{sc}", "cached")
+                    self.log.info("cell.cached", cell=f"{wl}/{sc}",
+                                  source="persistent")
                 else:
                     todo.append((wl, sc, cfg, key))
         if todo:
@@ -399,7 +371,7 @@ class ExperimentHarness:
                 # pool.map preserves submission order: zip restores the
                 # (workload, scheme) attribution deterministically.
                 for (wl, sc, cfg, key), result in zip(
-                        todo, pool.map(run_cell_result, specs)):
+                        todo, pool.map(run_pool_cell, specs)):
                     self.sims_run += 1
                     self._cache[key] = result
                     self._persistent_put(wl, cfg, result)
@@ -452,8 +424,7 @@ def compare_schemes(workload: str,
                                   RunLedger] = None,
                     fidelity: str = "event",
                     log: Union[None, bool, str, os.PathLike,
-                               NullLog] = None,
-                    progress_dir: Union[None, str, os.PathLike] = None
+                               NullLog] = None
                     ) -> List[dict]:
     """One-call scheme comparison for a single workload.
 
@@ -473,8 +444,7 @@ def compare_schemes(workload: str,
         harness = ExperimentHarness(config=config, scale=scale, seed=seed,
                                     obs_factory=obs_factory,
                                     cache_dir=cache_dir, ledger=ledger,
-                                    fidelity=fidelity, log=log,
-                                    progress_dir=progress_dir)
+                                    fidelity=fidelity, log=log)
     grid = harness.matrix([workload], schemes, workers=workers)
     results = [grid[workload][scheme] for scheme in schemes]
     base = results[0]

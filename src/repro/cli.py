@@ -76,15 +76,31 @@ def _add_ledger_args(parser: argparse.ArgumentParser) -> None:
                        help="do not record this invocation in the ledger")
 
 
+def _add_seed_arg(parser: argparse.ArgumentParser) -> None:
+    """``--seed``, shared by every command that generates a workload."""
+    parser.add_argument("--seed", type=int, default=42)
+
+
+def _add_scheme_arg(parser: argparse.ArgumentParser) -> None:
+    """``--scheme``, shared by the one-cell commands run/profile/obs
+    flame."""
+    parser.add_argument("--scheme", "-s", default="cachecraft",
+                        choices=ALL_SCHEMES)
+
+
+def _add_machine_args(parser: argparse.ArgumentParser) -> None:
+    """L2 size and protection-code flags shared by run/profile."""
+    parser.add_argument("--l2-kb", type=int, default=1024)
+    parser.add_argument("--granule", type=int, default=128)
+    parser.add_argument("--code", default="secded")
+
+
 def _add_log_args(parser: argparse.ArgumentParser) -> None:
     """Structured-log flags shared by run/compare/campaign."""
     group = parser.add_argument_group("structured log")
     group.add_argument("--log-out", default=None, metavar="FILE",
                        help="append structured JSONL events to FILE "
                             "(default: $REPRO_LOG, off when unset)")
-    group.add_argument("--log-level", default=None,
-                       choices=("debug", "info", "warn", "error"),
-                       help="minimum level to record (default debug)")
 
 
 def _log_from_args(args: argparse.Namespace):
@@ -92,7 +108,7 @@ def _log_from_args(args: argparse.Namespace):
     from repro.obs.structlog import StructLog, resolve_log
 
     if getattr(args, "log_out", None):
-        return StructLog(args.log_out, level=args.log_level or "debug")
+        return StructLog(args.log_out)
     return resolve_log(None)
 
 
@@ -100,16 +116,37 @@ def _add_live_args(parser: argparse.ArgumentParser) -> None:
     """Live-dashboard flags shared by compare/campaign."""
     group = parser.add_argument_group("live telemetry")
     group.add_argument("--live", action="store_true",
-                       help="render a live fleet dashboard (plain-text "
-                            "frames; works without a TTY)")
+                       help="render a live fleet dashboard folded from "
+                            "the structured log (plain-text frames; "
+                            "works without a TTY); logs to a temporary "
+                            "file when no log is configured")
     group.add_argument("--live-interval", type=float, default=1.0,
                        metavar="SEC",
                        help="seconds between dashboard frames; 0 prints "
                             "a single final frame (CI mode; default 1)")
-    group.add_argument("--progress-dir", default=None, metavar="DIR",
-                       help="progress-channel directory (default: a "
-                            "temporary directory when --live is given); "
-                            "inspect any run with `obs top DIR`")
+
+
+def _start_live(args: argparse.Namespace, log, title: str):
+    """With ``--live``, start the dashboard over the run's structured
+    log, first pointing ``log`` at a fresh temporary file when no log
+    is configured.  Returns ``(log, renderer or None)``."""
+    if not args.live:
+        return log, None
+    from repro.obs.progress import LiveRenderer
+
+    if not log.enabled:
+        import tempfile
+
+        from repro.obs.structlog import StructLog
+
+        fd, path = tempfile.mkstemp(prefix="repro-live-",
+                                    suffix=".log.jsonl")
+        os.close(fd)
+        log = StructLog(path)
+    print(f"live telemetry: log {log.path} "
+          f"(follow along with `obs top {log.path}`)")
+    return log, LiveRenderer(log.path, interval=args.live_interval,
+                             title=title).start()
 
 
 def _ledger_from_args(args: argparse.Namespace, required: bool = False):
@@ -212,14 +249,11 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p = sub.add_parser("run", help="simulate one workload/scheme")
     run_p.add_argument("--workload", "-w", default="vecadd",
                        choices=sorted(WORKLOAD_REGISTRY))
-    run_p.add_argument("--scheme", "-s", default="cachecraft",
-                       choices=ALL_SCHEMES)
+    _add_scheme_arg(run_p)
     run_p.add_argument("--scale", type=float, default=0.3,
                        help="workload size multiplier (default 0.3)")
-    run_p.add_argument("--seed", type=int, default=42)
-    run_p.add_argument("--l2-kb", type=int, default=1024)
-    run_p.add_argument("--granule", type=int, default=128)
-    run_p.add_argument("--code", default="secded")
+    _add_seed_arg(run_p)
+    _add_machine_args(run_p)
     run_p.add_argument("--functional", action="store_true",
                        help="run real ECC decode over a functional store")
     run_p.add_argument("--fidelity", choices=FIDELITIES, default="event",
@@ -238,14 +272,14 @@ def _build_parser() -> argparse.ArgumentParser:
     trace_p.add_argument("--workload", "-w", default="vecadd",
                          choices=sorted(WORKLOAD_REGISTRY))
     trace_p.add_argument("--scale", type=float, default=0.1)
-    trace_p.add_argument("--seed", type=int, default=42)
+    _add_seed_arg(trace_p)
     trace_p.add_argument("--output", "-o", required=True)
 
     cmp_p = sub.add_parser("compare", help="compare all schemes on a workload")
     cmp_p.add_argument("--workload", "-w", default="spmv",
                        choices=sorted(WORKLOAD_REGISTRY))
     cmp_p.add_argument("--scale", type=float, default=0.3)
-    cmp_p.add_argument("--seed", type=int, default=42)
+    _add_seed_arg(cmp_p)
     cmp_p.add_argument("--workers", type=int, default=None, metavar="N",
                        help="fan per-scheme cells out over N processes")
     cmp_p.add_argument("--cache-dir", default=None, metavar="DIR",
@@ -276,13 +310,10 @@ def _build_parser() -> argparse.ArgumentParser:
         "profile", help="latency breakdown + hottest components")
     prof_p.add_argument("--workload", "-w", default="spmv",
                         choices=sorted(WORKLOAD_REGISTRY))
-    prof_p.add_argument("--scheme", "-s", default="cachecraft",
-                        choices=ALL_SCHEMES)
+    _add_scheme_arg(prof_p)
     prof_p.add_argument("--scale", type=float, default=0.3)
-    prof_p.add_argument("--seed", type=int, default=42)
-    prof_p.add_argument("--l2-kb", type=int, default=1024)
-    prof_p.add_argument("--granule", type=int, default=128)
-    prof_p.add_argument("--code", default="secded")
+    _add_seed_arg(prof_p)
+    _add_machine_args(prof_p)
     prof_p.add_argument("--top", type=int, default=8,
                         help="hottest components to show (default 8)")
     prof_p.add_argument("--flame-out", default=None, metavar="FILE",
@@ -324,7 +355,7 @@ def _build_parser() -> argparse.ArgumentParser:
     camp_p.add_argument("--schemes", "-s", default="none,cachecraft",
                         help="comma-separated scheme list")
     camp_p.add_argument("--scale", type=float, default=0.1)
-    camp_p.add_argument("--seed", type=int, default=42)
+    _add_seed_arg(camp_p)
     camp_p.add_argument("--journal", default="campaign.jsonl",
                         help="JSONL journal path (default campaign.jsonl); "
                              "rerunning resumes from it")
@@ -375,8 +406,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     fsck_p = sub.add_parser(
         "fsck", help="scan (and optionally repair) the on-disk stores: "
-                     "result cache, ledger + index, journals, logs, "
-                     "progress files")
+                     "result cache, ledger + index, journals, logs")
     fsck_p.add_argument("--repair", action="store_true",
                         help="heal what is safely healable: truncate torn "
                              "tails, drop corrupt records, quarantine bad "
@@ -392,9 +422,8 @@ def _build_parser() -> argparse.ArgumentParser:
                         metavar="FILE",
                         help="campaign journal to scan (repeatable)")
     fsck_p.add_argument("--log", default=None, metavar="FILE",
-                        help="structured log to scan")
-    fsck_p.add_argument("--progress-dir", default=None, metavar="DIR",
-                        help="progress directory to scan")
+                        help="structured log to scan (it also carries "
+                             "the cell lifecycle stream `obs top` reads)")
     fsck_p.add_argument("--json", action="store_true",
                         help="emit the report as JSON")
 
@@ -424,11 +453,11 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_ledger_args(diff_p)
 
     top_p = obs_sub.add_parser(
-        "top", help="live fleet dashboard over a progress directory "
+        "top", help="live fleet dashboard folded from a structured log "
                     "(see compare/campaign --live)")
-    top_p.add_argument("progress_dir", metavar="DIR",
-                       help="progress directory written by a running "
-                            "compare/campaign")
+    top_p.add_argument("log", metavar="FILE",
+                       help="structured log (--log-out / $REPRO_LOG) of "
+                            "a running or finished compare/campaign")
     top_p.add_argument("--watch", action="store_true",
                        help="keep redrawing until interrupted "
                             "(default: one frame)")
@@ -445,10 +474,9 @@ def _build_parser() -> argparse.ArgumentParser:
                       "runs of the same cell)")
     flame_p.add_argument("--workload", "-w", default="spmv",
                          choices=sorted(WORKLOAD_REGISTRY))
-    flame_p.add_argument("--scheme", "-s", default="cachecraft",
-                         choices=ALL_SCHEMES)
+    _add_scheme_arg(flame_p)
     flame_p.add_argument("--scale", type=float, default=0.3)
-    flame_p.add_argument("--seed", type=int, default=42)
+    _add_seed_arg(flame_p)
     flame_p.add_argument("--fidelity", choices=FIDELITIES, default="event",
                          help="tier to profile (the flame profiler counts "
                               "events, so the functional tier works too)")
@@ -474,7 +502,7 @@ def _build_parser() -> argparse.ArgumentParser:
                            help="comma-separated scheme list (default "
                                 "none,metadata-cache,cachecraft)")
     inspect_p.add_argument("--scale", type=float, default=0.1)
-    inspect_p.add_argument("--seed", type=int, default=42)
+    _add_seed_arg(inspect_p)
     inspect_p.add_argument("--fidelity", choices=FIDELITIES,
                            default="event",
                            help="tier to inspect (introspection is "
@@ -634,28 +662,15 @@ def _cmd_compare(args: argparse.Namespace) -> int:
               "serially so --trace-out/--metrics-out/--inspect-out "
               "are not lost", file=sys.stderr)
         workers = None
-    log = _log_from_args(args)
-    progress_dir = args.progress_dir
-    if progress_dir is None and args.live:
-        import tempfile
-
-        progress_dir = tempfile.mkdtemp(prefix="repro-progress-")
+    log, renderer = _start_live(args, _log_from_args(args),
+                                title=f"compare: {args.workload}")
     ledger = _ledger_from_args(args)
     harness = ExperimentHarness(scale=args.scale, seed=args.seed,
                                 obs_factory=obs_factory,
                                 cache_dir=cache_dir,
                                 ledger=ledger or False,
                                 ledger_label="cli.compare",
-                                fidelity=args.fidelity,
-                                log=log, progress_dir=progress_dir)
-    renderer = None
-    if args.live:
-        from repro.obs.progress import LiveRenderer
-
-        print(f"live telemetry: progress dir {progress_dir} "
-              f"(follow along with `obs top {progress_dir}`)")
-        renderer = LiveRenderer(progress_dir, interval=args.live_interval,
-                                title=f"compare: {args.workload}").start()
+                                fidelity=args.fidelity, log=log)
     try:
         rows = compare_schemes(args.workload, scale=args.scale,
                                seed=args.seed, obs_factory=obs_factory,
@@ -664,15 +679,14 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     finally:
         if renderer is not None:
             renderer.stop()
-    if ledger is not None and progress_dir is not None:
+    if ledger is not None and log.enabled:
         from repro.obs.ledger import record_from_session
-        from repro.obs.progress import read_progress, snapshot, summary_dict
+        from repro.obs.progress import snapshot, summary_dict
+        from repro.obs.structlog import read_jsonl
 
-        summary = summary_dict(snapshot(read_progress(progress_dir)))
-        ledger.safe_append(record_from_session(
-            "cli.compare", summary,
-            log_path=str(log.path) if log.enabled else None,
-            progress_dir=str(progress_dir)))
+        summary = summary_dict(snapshot(read_jsonl(log.path)))
+        ledger.safe_append(record_from_session("cli.compare", summary,
+                                               log_path=str(log.path)))
     timed = args.fidelity == "event"
     table = [[r["scheme"],
               r["norm_perf"] if timed else "-",
@@ -862,35 +876,20 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         # the same policy (and the append seams in this process arm).
         os.environ[CHAOS_ENV] = args.chaos_policy
         print(f"chaos policy armed: {policy.to_json()}")
-    log = _log_from_args(args)
-    progress_dir = args.progress_dir
-    if progress_dir is None and args.live:
-        import tempfile
-
-        progress_dir = tempfile.mkdtemp(prefix="repro-progress-")
+    log, renderer = _start_live(args, _log_from_args(args),
+                                title="campaign")
     runner = CampaignRunner(args.journal, workers=args.workers,
                             timeout=args.timeout,
                             max_attempts=args.max_attempts,
                             retry_backoff=args.retry_backoff,
                             retry_backoff_max=args.retry_backoff_max,
                             degrade=args.degrade,
-                            ledger=_ledger_from_args(args),
-                            log=log, progress_dir=progress_dir)
-    renderer = None
-    progress_cb = print
-    if args.live:
-        from repro.obs.progress import LiveRenderer
-
-        print(f"live telemetry: progress dir {progress_dir} "
-              f"(follow along with `obs top {progress_dir}`)")
-        renderer = LiveRenderer(progress_dir, interval=args.live_interval,
-                                title="campaign").start()
+                            ledger=_ledger_from_args(args), log=log)
+    try:
         # The dashboard supersedes the per-cell progress lines (both on
         # stdout would interleave).
-        progress_cb = None
-    try:
         summary = runner.run(cells, resume=not args.no_resume,
-                             progress=progress_cb)
+                             progress=None if renderer else print)
     finally:
         if renderer is not None:
             renderer.stop()
@@ -933,7 +932,7 @@ def _cmd_fsck(args: argparse.Namespace) -> int:
 
     report = fsck_all(cache_dir=args.cache_dir, ledger=args.ledger,
                       journals=args.journal, log=args.log,
-                      progress_dir=args.progress_dir, repair=args.repair)
+                      repair=args.repair)
     if args.json:
         print(_json.dumps(report.to_dict(), indent=2, sort_keys=True))
         return 0 if report.ok else 1
@@ -976,12 +975,11 @@ def _parse_tolerances(items) -> dict:
 def _cmd_obs_top(args: argparse.Namespace) -> int:
     import time as _time
 
-    from repro.obs.progress import read_progress, render_top, snapshot
+    from repro.obs.progress import top_frame
 
     def frame() -> str:
-        records = read_progress(args.progress_dir)
-        snap = snapshot(records, stale_after=args.stale_after)
-        return render_top(snap, title=f"repro fleet: {args.progress_dir}")
+        return top_frame(args.log, title=f"repro fleet: {args.log}",
+                         stale_after=args.stale_after)
 
     if not args.watch:
         print(frame())
@@ -1070,9 +1068,9 @@ def _cmd_obs(args: argparse.Namespace) -> int:
 
     from repro.obs import htmlreport, regress
 
-    # `obs top`, `obs flame` and `obs inspect` read a progress
-    # directory / run cells themselves; none takes ledger args, so
-    # dispatch before resolving the ledger.
+    # `obs top`, `obs flame` and `obs inspect` read a structured log /
+    # run cells themselves; none takes ledger args, so dispatch before
+    # resolving the ledger.
     if args.obs_command == "top":
         return _cmd_obs_top(args)
     if args.obs_command == "flame":

@@ -67,11 +67,6 @@ class HsiaoCode(ErrorCode):
                     self._rows[i] |= 1 << j
         self._column_to_bit: Dict[int, int] = {c: j for j, c in enumerate(self._columns)}
 
-    @property
-    def h_rows(self) -> List[int]:
-        """Rows of H_d as data-bit masks (for the tagged-code subclass)."""
-        return list(self._rows)
-
     def encode(self, data: bytes) -> bytes:
         self._require_sizes(data)
         vec = bytes_to_int(data)

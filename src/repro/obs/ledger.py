@@ -202,17 +202,15 @@ def record_from_cell(cell_result: Dict[str, Any], *,
 
 
 def record_from_session(label: str, summary: Dict[str, Any], *,
-                        log_path: Optional[str] = None,
-                        progress_dir: Optional[str] = None
-                        ) -> Dict[str, Any]:
+                        log_path: Optional[str] = None) -> Dict[str, Any]:
     """A ``kind="session"`` record closing out one multi-cell run.
 
-    ``summary`` is the final progress summary
-    (:func:`repro.obs.progress.summary_dict`): cells
-    done/failed/cached, cache hit ratio, aggregate events/sec and wall
-    seconds.  One session record per ``compare``/``campaign``
-    invocation lets ``obs history`` show fleet-level outcomes and link
-    each run to its structured log and progress directory.
+    ``summary`` is the final run summary
+    (:func:`repro.obs.progress.summary_dict`, folded from the run's
+    structured log): cells done/failed/cached, cache hit ratio,
+    aggregate events/sec and wall seconds.  One session record per
+    ``compare``/``campaign`` invocation lets ``obs history`` show
+    fleet-level outcomes and link each run to its structured log.
     """
     record: Dict[str, Any] = {
         "kind": "session",
@@ -223,8 +221,6 @@ def record_from_session(label: str, summary: Dict[str, Any], *,
     }
     if log_path:
         record["log"] = str(log_path)
-    if progress_dir:
-        record["progress_dir"] = str(progress_dir)
     return record
 
 
@@ -280,7 +276,7 @@ class RunLedger:
         comparable.  The write itself goes through the shared
         :func:`~repro.obs.structlog.append_jsonl` seam — one atomic
         ``O_APPEND`` line, checksummed, torn-tail healing — so the
-        ledger, journal, log and progress stores share one durability
+        ledger, journal and log stores share one durability
         (and one chaos-injection) path.
         """
         from repro.core.results import MODEL_VERSION

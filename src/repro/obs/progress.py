@@ -1,34 +1,36 @@
-"""Live progress / heartbeat channel for multi-process runs.
+"""Live fleet view: folds the structured log's cell lifecycle records.
 
 A running ``compare --workers N`` or ``campaign`` fans cells out to
-worker processes; until this module, the parent was a black box until
-the last cell returned.  The channel is a *progress directory*:
+worker processes that all append to one structured log
+(:mod:`repro.obs.structlog`).  That log is the run's only lifecycle
+stream; this module reads it back:
 
-* every participant appends JSONL records to its **own per-pid file**
-  (``<role>-<pid>.jsonl``) with the same atomic ``O_APPEND`` /
-  torn-tail-tolerant discipline as the run ledger, so there is no lock,
-  no server and no cross-process coordination of any kind;
-* **cell lifecycle** records (``start`` / ``done`` / ``failed`` /
-  ``cached`` / ``retry``) are written by whoever learns the fact first
-  — pool workers write their own start/done, the campaign parent
-  journals its workers' outcomes, cache hits are recorded parent-side;
-* **heartbeat** records are appended every ``interval`` host seconds
-  by a daemon thread in each worker while a cell is in flight, so a
-  hung or killed worker is visible as a *stale* pid;
-* a ``plan`` record from the parent fixes the denominator (total
-  cells) for percent-done and ETA.
+* **cell lifecycle** records (``cell.start`` / ``cell.done`` /
+  ``cell.failed`` / ``cell.cached`` / ``cell.retry`` /
+  ``cell.quarantined``), one per transition, written by whichever
+  process owns the fact — a worker logs the start and done of the
+  cell it runs, and the process that dispatched the cell (the serial
+  harness, the pool parent, the campaign parent) logs cache hits and
+  the failure verdicts;
+* **heartbeat** records, appended every :data:`HEARTBEAT_INTERVAL`
+  host seconds by :class:`HeartbeatThread` in each worker while a
+  cell is in flight, so a hung or killed worker is visible as a
+  *stale* pid;
+* one **plan** record (``total``) from the dispatching process that
+  fixes the denominator for percent-done and ETA.
 
-:func:`snapshot` folds every record in the directory into one
+:func:`snapshot` folds the records after the last ``plan`` into one
 :class:`ProgressSnapshot` (done/failed/cached/in-flight counts,
 aggregate events/sec, cache hit ratio, EWMA-smoothed ETA, stale-worker
-list); :func:`render_top` formats a snapshot as a plain-text frame —
-no TTY control codes, so it works in CI logs, ``watch``, and pipes
-alike.  The ``obs top <dir>`` subcommand and the ``--live`` flags on
+list), so a log file reused across runs shows only the latest run;
+:func:`render_top` formats a snapshot as a plain-text frame — no TTY
+control codes, so it works in CI logs, ``watch``, and pipes alike.
+The ``obs top <log>`` subcommand and the ``--live`` flags on
 ``compare``/``campaign`` are thin wrappers over these two calls.
 
-The channel observes the *host-side* execution stack only — nothing
-here touches the simulated machine, so progress reporting can never
-change simulation counters.
+The fold observes the *host-side* execution stack only — nothing here
+touches the simulated machine, so watching a run can never change
+simulation counters.
 """
 
 from __future__ import annotations
@@ -39,137 +41,56 @@ import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Union
+from typing import Any, Dict, Iterable, List, Optional, Union
 
-from repro.obs.structlog import append_jsonl, read_jsonl
+from repro.obs.structlog import NullLog, read_jsonl
 
-#: Environment variable pointing workers at the progress directory.
-PROGRESS_ENV = "REPRO_PROGRESS_DIR"
-
-#: Environment variable overriding the heartbeat interval (seconds).
-HEARTBEAT_ENV = "REPRO_HEARTBEAT_INTERVAL"
+#: Seconds between heartbeats from a worker with a cell in flight.
+HEARTBEAT_INTERVAL = 1.0
 
 #: A worker with an in-flight cell and no heartbeat for this many
 #: seconds is reported stale (overridable per call / per CLI flag).
 DEFAULT_STALE_AFTER = 10.0
 
-#: Terminal cell statuses (everything else keeps the cell in flight).
-_TERMINAL = frozenset({"done", "failed", "cached", "quarantined"})
-
-
-class ProgressWriter:
-    """Appends progress records to this process's file in the
-    progress directory.
-
-    ``role`` distinguishes the parent (``parent``), pool workers
-    (``worker``) and campaign subprocesses in the file name — purely
-    for humans; the aggregator reads every ``*.jsonl`` file.
-    """
-
-    def __init__(self, progress_dir: Union[str, os.PathLike],
-                 role: str = "worker"):
-        self.dir = Path(progress_dir)
-        self.role = role
-        self.path = self.dir / f"{role}-{os.getpid()}.jsonl"
-        self._warned = False
-
-    def _write(self, record: Dict[str, Any]) -> None:
-        record.setdefault("ts", round(time.time(), 3))
-        record.setdefault("pid", os.getpid())
-        try:
-            self.dir.mkdir(parents=True, exist_ok=True)
-            append_jsonl(self.path, record)
-        except OSError as exc:
-            if not self._warned:
-                self._warned = True
-                print(f"warning: progress append to {self.path} failed: "
-                      f"{exc}", file=sys.stderr)
-
-    def plan(self, total_cells: int, **fields: Any) -> None:
-        """Fix the denominator: how many cells this run will resolve."""
-        self._write({"kind": "plan", "total": int(total_cells), **fields})
-
-    def heartbeat(self, **fields: Any) -> None:
-        self._write({"kind": "heartbeat", **fields})
-
-    def cell(self, cell: str, status: str, **fields: Any) -> None:
-        """One cell lifecycle transition (start/done/failed/cached/
-        retry)."""
-        self._write({"kind": "cell", "cell": cell, "status": status,
-                     **fields})
+#: Event-name prefix of the cell lifecycle records.
+CELL_PREFIX = "cell."
 
 
 class HeartbeatThread:
-    """Daemon thread appending heartbeats while host work is in flight.
+    """Daemon thread logging ``heartbeat`` records while host work is
+    in flight.
 
-    Wall-clock based and entirely outside the simulated machine; start
-    it around a cell (pool workers) or a whole worker process
-    (campaign subprocesses).  ``stop()`` writes one final heartbeat so
-    the last-seen timestamp covers the full busy window.
+    Wall-clock based and entirely outside the simulated machine; pool
+    and campaign workers start it around a cell.  ``stop()`` writes
+    one final heartbeat so the last-seen timestamp covers the full
+    busy window.
     """
 
-    def __init__(self, writer: ProgressWriter, interval: float = 1.0):
-        self.writer = writer
-        self.interval = max(0.05, float(interval))
+    def __init__(self, log: NullLog):
+        self.log = log
         self._stop = threading.Event()
         self._thread: Optional[threading.Thread] = None
 
     def start(self) -> "HeartbeatThread":
-        self.writer.heartbeat()
+        self.log.debug("heartbeat")
         self._thread = threading.Thread(target=self._run, daemon=True,
                                         name="repro-heartbeat")
         self._thread.start()
         return self
 
     def _run(self) -> None:
-        while not self._stop.wait(self.interval):
-            self.writer.heartbeat()
+        while not self._stop.wait(HEARTBEAT_INTERVAL):
+            self.log.debug("heartbeat")
 
     def stop(self) -> None:
         self._stop.set()
         if self._thread is not None:
             self._thread.join(timeout=2.0)
             self._thread = None
-        self.writer.heartbeat()
-
-
-def writer_from_env(role: str = "worker") -> Optional[ProgressWriter]:
-    """A writer for ``$REPRO_PROGRESS_DIR``, or None when unset."""
-    progress_dir = os.environ.get(PROGRESS_ENV, "").strip()
-    if not progress_dir:
-        return None
-    return ProgressWriter(progress_dir, role=role)
-
-
-def heartbeat_interval() -> float:
-    """The configured heartbeat interval (``$REPRO_HEARTBEAT_INTERVAL``,
-    default 1.0s)."""
-    raw = os.environ.get(HEARTBEAT_ENV, "").strip()
-    try:
-        return max(0.05, float(raw)) if raw else 1.0
-    except ValueError:
-        return 1.0
+        self.log.debug("heartbeat")
 
 
 # -- aggregation --------------------------------------------------------------
-
-
-def read_progress(progress_dir: Union[str, os.PathLike]
-                  ) -> List[Dict[str, Any]]:
-    """Every readable record in the directory, ordered by timestamp.
-
-    Files are read with the shared torn-tail-tolerant JSONL reader; a
-    record mid-write by a live worker is simply skipped this frame and
-    picked up on the next.
-    """
-    directory = Path(progress_dir)
-    records: List[Dict[str, Any]] = []
-    if not directory.is_dir():
-        return records
-    for path in sorted(directory.glob("*.jsonl")):
-        records.extend(read_jsonl(path))
-    records.sort(key=lambda r: (r.get("ts") or 0.0))
-    return records
 
 
 @dataclass
@@ -188,7 +109,7 @@ class CellState:
 
 @dataclass
 class ProgressSnapshot:
-    """One folded view of a progress directory (see :func:`snapshot`)."""
+    """One folded view of a run's structured log (see :func:`snapshot`)."""
 
     total: int = 0
     done: int = 0
@@ -238,19 +159,27 @@ class ProgressSnapshot:
 EWMA_ALPHA = 0.3
 
 
-def snapshot(records: List[Dict[str, Any]],
+def snapshot(records: Iterable[Dict[str, Any]],
              now: Optional[float] = None,
              stale_after: float = DEFAULT_STALE_AFTER) -> ProgressSnapshot:
-    """Fold progress records into one :class:`ProgressSnapshot`.
+    """Fold structured-log records into one :class:`ProgressSnapshot`.
 
-    Pure and deterministic given ``records`` and ``now`` — the tests
-    feed canned directories and pinned clocks.
+    Only the records from the last ``plan`` record on are folded (all
+    of them when there is none), in file order, so the latest
+    transition of each cell wins.  Every folded record, lifecycle or
+    not, counts as a sign of life for its pid.  Pure and deterministic
+    given ``records`` and ``now`` — the tests feed canned logs and
+    pinned clocks.
     """
+    records = list(records)
+    plans = [i for i, rec in enumerate(records) if rec.get("event") == "plan"]
+    if plans:
+        records = records[plans[-1]:]
     snap = ProgressSnapshot()
     snap.now = now if now is not None else time.time()
     cells: Dict[str, CellState] = {}
     first_ts: Optional[float] = None
-    durations: List[float] = []     # completed-cell host seconds, ts order
+    durations: List[float] = []     # completed-cell host seconds, in order
     sim_seconds = 0.0
 
     for rec in records:
@@ -260,15 +189,15 @@ def snapshot(records: List[Dict[str, Any]],
         pid = rec.get("pid")
         if isinstance(pid, int):
             snap.workers[pid] = max(snap.workers.get(pid, 0.0), ts)
-        kind = rec.get("kind")
-        if kind == "plan":
-            snap.total = max(snap.total, int(rec.get("total") or 0))
-        elif kind == "cell":
+        event = str(rec.get("event") or "")
+        if event == "plan":
+            snap.total = int(rec.get("total") or 0)
+        elif event.startswith(CELL_PREFIX):
             cell_id = str(rec.get("cell"))
             state = cells.get(cell_id)
             if state is None:
                 state = cells[cell_id] = CellState(cell_id, "pending")
-            state.status = str(rec.get("status") or "?")
+            state.status = event[len(CELL_PREFIX):]
             state.since = ts
             if isinstance(pid, int):
                 state.pid = pid
@@ -402,18 +331,26 @@ def render_top(snap: ProgressSnapshot, title: str = "repro fleet",
     return "\n".join(lines)
 
 
+def top_frame(log_path: Union[str, os.PathLike], title: str = "repro fleet",
+              stale_after: float = DEFAULT_STALE_AFTER) -> str:
+    """One :func:`render_top` frame of the run logged to ``log_path``,
+    taken now (a missing log renders an empty frame)."""
+    return render_top(snapshot(read_jsonl(log_path), stale_after=stale_after),
+                      title=title)
+
+
 class LiveRenderer:
-    """Background thread printing :func:`render_top` frames.
+    """Background thread printing :func:`top_frame` frames of a log.
 
     ``interval <= 0`` selects *single-frame mode*: nothing prints
     during the run; the one final frame comes from :meth:`stop` —
     the CI-friendly configuration.
     """
 
-    def __init__(self, progress_dir: Union[str, os.PathLike],
+    def __init__(self, log_path: Union[str, os.PathLike],
                  interval: float = 1.0, title: str = "repro fleet",
                  out=None, stale_after: float = DEFAULT_STALE_AFTER):
-        self.progress_dir = Path(progress_dir)
+        self.log_path = Path(log_path)
         self.interval = float(interval)
         self.title = title
         self.out = out if out is not None else sys.stdout
@@ -422,9 +359,7 @@ class LiveRenderer:
         self._thread: Optional[threading.Thread] = None
 
     def frame(self) -> str:
-        snap = snapshot(read_progress(self.progress_dir),
-                        stale_after=self.stale_after)
-        return render_top(snap, title=self.title)
+        return top_frame(self.log_path, self.title, self.stale_after)
 
     def _print_frame(self) -> None:
         print(self.frame(), file=self.out)
@@ -451,7 +386,7 @@ class LiveRenderer:
 
 
 def summary_dict(snap: ProgressSnapshot) -> Dict[str, Any]:
-    """The final progress summary recorded into the run ledger
+    """The final run summary recorded into the run ledger
     (see :func:`repro.obs.ledger.record_from_session`)."""
     return {
         "cells_total": snap.total,

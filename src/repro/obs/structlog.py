@@ -7,9 +7,8 @@ right now, and what did it do on the way** — cells starting and
 finishing, cache hits and misses, workers spawning, retrying and
 tripping watchdogs.
 
-A :class:`StructLog` is a leveled JSONL event log with the same
-durability contract as the run ledger
-(:mod:`repro.obs.ledger`):
+A :class:`StructLog` is a JSONL event log with the same durability
+contract as the run ledger (:mod:`repro.obs.ledger`):
 
 * **Appends are atomic** — one ``O_APPEND`` ``write()`` of one
   complete line, so concurrent appenders (pool workers, campaign
@@ -23,10 +22,14 @@ durability contract as the run ledger
   role) via :meth:`StructLog.bind`, so one grep reconstructs any
   cell's life across processes.
 
+The log is also the run's cell lifecycle stream (``cell.*``, ``plan``
+and ``heartbeat`` records, folded by :mod:`repro.obs.progress`), so
+an enabled log records every call: there is no level threshold.
+Each record keeps its ``level`` field, and readers filter on it.
+
 Configuration mirrors the ledger: the ``REPRO_LOG`` environment
-variable names the log file (absent = logging off), ``REPRO_LOG_LEVEL``
-sets the threshold (default ``debug``), and every CLI entry point also
-takes ``--log-out FILE`` / ``--log-level``.  The disabled path is the
+variable names the log file (absent = logging off), and every CLI
+entry point also takes ``--log-out FILE``.  The disabled path is the
 shared :data:`NULL_LOG` singleton — one truthiness test per call site.
 """
 
@@ -62,18 +65,13 @@ def record_checksum(record: Dict[str, Any]) -> str:
 #: Environment variable naming the log file (absent/empty = off).
 LOG_ENV = "REPRO_LOG"
 
-#: Environment variable for the minimum level (default ``debug``).
-LOG_LEVEL_ENV = "REPRO_LOG_LEVEL"
-
-LEVELS: Dict[str, int] = {"debug": 10, "info": 20, "warn": 30, "error": 40}
-
 
 def read_jsonl(path: Union[str, os.PathLike],
                verify: bool = True) -> Iterator[Dict[str, Any]]:
     """Yield JSON records from a JSONL file, tolerating a torn tail.
 
     The shared reader for every append-only JSONL artifact in this
-    package (log, progress files, ledger-style journals): unparseable
+    package (log, ledger, campaign journals): unparseable
     or non-object lines — the torn tail of a killed appender — are
     skipped, never raised.  Records carrying a ``_ck`` checksum are
     verified (and the field stripped); a mismatch — a silently
@@ -187,7 +185,7 @@ NULL_LOG = NullLog()
 
 
 class StructLog(NullLog):
-    """Leveled JSONL event log with bound correlation context.
+    """JSONL event log with bound correlation context.
 
     ``bind(**context)`` returns a child logger appending the given
     fields to every record — the idiom for correlation IDs::
@@ -201,40 +199,30 @@ class StructLog(NullLog):
 
     enabled = True
 
-    def __init__(self, path: Union[str, os.PathLike], level: str = "debug",
+    def __init__(self, path: Union[str, os.PathLike],
                  context: Optional[Dict[str, Any]] = None):
-        if level not in LEVELS:
-            raise ValueError(
-                f"unknown log level {level!r}; known: {sorted(LEVELS)}")
         self.path = Path(path)
-        self.level = level
-        self.threshold = LEVELS[level]
         self.context = dict(context or {})
         self._warned = False
 
     @classmethod
     def default(cls) -> NullLog:
-        """The environment-configured logger (``REPRO_LOG`` /
-        ``REPRO_LOG_LEVEL``), or :data:`NULL_LOG` when unset."""
+        """The environment-configured logger (``REPRO_LOG``), or
+        :data:`NULL_LOG` when unset."""
         path = os.environ.get(LOG_ENV, "").strip()
         if not path or path.lower() in ("off", "0", "none", "disabled"):
             return NULL_LOG
-        level = os.environ.get(LOG_LEVEL_ENV, "").strip().lower() or "debug"
-        if level not in LEVELS:
-            level = "debug"
-        return cls(path, level=level)
+        return cls(path)
 
     def bind(self, **context: Any) -> "StructLog":
         merged = dict(self.context)
         merged.update(context)
-        return StructLog(self.path, level=self.level, context=merged)
+        return StructLog(self.path, context=merged)
 
     # -- writing -------------------------------------------------------------
 
     def log(self, level: str, event: str, **fields: Any) -> None:
         """Append one record; a failing log never fails the run."""
-        if LEVELS.get(level, 100) < self.threshold:
-            return
         record: Dict[str, Any] = {
             "ts": round(time.time(), 3),
             "level": level,

@@ -51,10 +51,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.obs.progress import PROGRESS_ENV, ProgressWriter
-from repro.obs.structlog import (LOG_ENV, LOG_LEVEL_ENV, NullLog,
-                                 append_jsonl, read_jsonl, resolve_log,
-                                 run_context)
+from repro.obs.structlog import (LOG_ENV, NullLog, append_jsonl, read_jsonl,
+                                 resolve_log, run_context)
 from repro.resilience.chaos import active_chaos, stream_unit
 
 
@@ -152,8 +150,7 @@ class CampaignRunner:
                  degrade: bool = False,
                  python: Optional[str] = None,
                  ledger=None,
-                 log: Union[None, bool, str, os.PathLike, NullLog] = None,
-                 progress_dir: Union[None, str, os.PathLike] = None):
+                 log: Union[None, bool, str, os.PathLike, NullLog] = None):
         if workers < 1:
             raise ValueError("workers must be >= 1")
         if max_attempts < 1:
@@ -170,19 +167,14 @@ class CampaignRunner:
         self.python = python or sys.executable
         #: Structured event log (:mod:`repro.obs.structlog`); workers
         #: inherit it through ``REPRO_LOG`` so one file narrates the
-        #: whole campaign across processes.
+        #: whole campaign across processes.  The parent logs the plan
+        #: and every verdict (cached/retry/failed/quarantined) — it is
+        #: the authority on outcomes — while workers log their own
+        #: ``cell.start``/``cell.done`` and heartbeats.
         self.log = resolve_log(log)
         if self.log.enabled:
             self.log = self.log.bind(**run_context(run="campaign",
                                                    role="parent"))
-        #: Live progress channel (:mod:`repro.obs.progress`): the
-        #: parent journals plan/retry/timeout/failure transitions — it
-        #: is the authority on outcomes — while workers contribute
-        #: their own start/done records and heartbeats via
-        #: ``REPRO_PROGRESS_DIR``.
-        self.progress: Optional[ProgressWriter] = (
-            ProgressWriter(progress_dir, role="parent")
-            if progress_dir else None)
         #: Optional cross-run telemetry ledger
         #: (:class:`repro.obs.ledger.RunLedger`).  Subprocess workers
         #: cannot write it themselves — the parent appends one record
@@ -226,10 +218,6 @@ class CampaignRunner:
             elif status == "quarantined":
                 quarantined[cell] = record
         return done, quarantined, attempts
-
-    def completed_cells(self) -> Dict[str, Dict[str, Any]]:
-        """Cells the journal marks ``done`` (for resume)."""
-        return self.journal_state()[0]
 
     def _journal(self, record: Dict[str, Any]) -> None:
         """Append one fsynced journal record (best-effort: a full disk
@@ -311,12 +299,9 @@ class CampaignRunner:
         existing = env.get("PYTHONPATH")
         env["PYTHONPATH"] = (src_dir if not existing
                              else src_dir + os.pathsep + existing)
-        # Telemetry channels cross the subprocess boundary by path.
+        # The log crosses the subprocess boundary by path.
         if self.log.enabled:
             env[LOG_ENV] = str(self.log.path)
-            env[LOG_LEVEL_ENV] = getattr(self.log, "level", "debug")
-        if self.progress is not None:
-            env[PROGRESS_ENV] = str(self.progress.dir)
         proc = subprocess.Popen(
             [self.python, "-m", "repro.resilience.worker"],
             stdin=subprocess.PIPE, stdout=subprocess.PIPE,
@@ -384,31 +369,30 @@ class CampaignRunner:
         if not resume and self.journal_path.exists():
             self.journal_path.unlink()
         pending: List[tuple] = []  # (not_before, attempt, cell, degraded)
+        # The plan comes first: `obs top` folds from the last plan on,
+        # so the resumed verdicts below belong to this run's frame.
+        self.log.info("plan", total=len(cells))
         for cell in cells:
             cell_id = cell["cell"]
             if cell_id in done:
                 summary.skipped.append(cell_id)
                 summary.records[cell_id] = done[cell_id]
-                if self.progress is not None:
-                    # Resumed cells are resolved without simulation —
-                    # the campaign analogue of a cache hit.
-                    self.progress.cell(cell_id, "cached")
+                # Resumed cells are resolved without simulation — the
+                # campaign analogue of a cache hit.
+                self.log.info("cell.cached", cell=cell_id, source="journal")
                 continue
             if cell_id in quarantined:
                 # Journal-backed quarantine: crash-looping cells stay
                 # parked until `repro fsck --repair` releases them.
                 summary.quarantined.append(cell_id)
                 summary.records[cell_id] = quarantined[cell_id]
-                if self.progress is not None:
-                    self.progress.cell(
-                        cell_id, "quarantined",
-                        error=quarantined[cell_id].get("error"))
+                self.log.warn("cell.quarantined", cell=cell_id,
+                              error=quarantined[cell_id].get("error"),
+                              source="journal")
                 say(f"QUAR  {cell_id} (quarantined; "
                     f"`repro fsck --repair` releases)")
                 continue
             pending.append((0.0, 1, cell, False))
-        if self.progress is not None:
-            self.progress.plan(len(cells), label="campaign")
         self.log.info("campaign.start", cells=len(cells),
                       skipped=len(summary.skipped),
                       quarantined=len(summary.quarantined),
@@ -470,9 +454,6 @@ class CampaignRunner:
                             summary.degraded.append(cell_id)
                         summary.records[cell_id] = result
                         self._ledger_append(run.cell, result)
-                        self.log.info("campaign.cell.done", cell=cell_id,
-                                      attempts=run.attempt, elapsed=elapsed,
-                                      degraded=run.degraded)
                         say(f"done  {cell_id} ({elapsed}s"
                             + (", degraded)" if run.degraded else ")"))
                         continue
@@ -492,12 +473,9 @@ class CampaignRunner:
                                        "error": error, "retry_in": delay})
                         pending.append((time.monotonic() + delay,
                                         run.attempt + 1, run.cell, False))
-                        self.log.warn("campaign.cell.retry", cell=cell_id,
-                                      attempt=run.attempt, error=error,
+                        self.log.warn("cell.retry", cell=cell_id,
+                                      attempt=run.attempt + 1, error=error,
                                       failure_class=fclass, retry_in=delay)
-                        if self.progress is not None:
-                            self.progress.cell(cell_id, "retry", error=error,
-                                               attempt=run.attempt + 1)
                         say(f"retry {cell_id}: {error} [{fclass}] "
                             f"(attempt {run.attempt + 1} in {delay}s)")
                     elif (self.degrade and not run.degraded
@@ -510,11 +488,9 @@ class CampaignRunner:
                                        "class": fclass, "error": error})
                         pending.append((time.monotonic(),
                                         run.attempt + 1, run.cell, True))
-                        self.log.warn("campaign.cell.degrade", cell=cell_id,
-                                      attempt=run.attempt, error=error)
-                        if self.progress is not None:
-                            self.progress.cell(cell_id, "retry", error=error,
-                                               attempt=run.attempt + 1)
+                        self.log.warn("cell.retry", cell=cell_id,
+                                      attempt=run.attempt + 1, error=error,
+                                      failure_class=fclass, degraded=True)
                         say(f"degrade {cell_id}: {error} "
                             f"(functional-tier rescue)")
                     else:
@@ -533,23 +509,17 @@ class CampaignRunner:
                         summary.records[cell_id] = record
                         if crash_looping:
                             summary.quarantined.append(cell_id)
-                            self.log.error("campaign.cell.quarantined",
+                            self.log.error("cell.quarantined",
                                            cell=cell_id,
                                            attempts=run.attempt, error=error)
-                            if self.progress is not None:
-                                self.progress.cell(cell_id, "quarantined",
-                                                   error=error)
                             say(f"QUAR  {cell_id}: {error} "
                                 f"(crash-looping; `repro fsck --repair` "
                                 f"releases)")
                         else:
                             summary.failed.append(cell_id)
-                            self.log.error("campaign.cell.failed",
+                            self.log.error("cell.failed",
                                            cell=cell_id,
                                            attempts=run.attempt, error=error)
-                            if self.progress is not None:
-                                self.progress.cell(cell_id, "failed",
-                                                   error=error)
                             say(f"FAIL  {cell_id}: {error}")
                 running = still
                 if pending or running:
@@ -574,7 +544,7 @@ class CampaignRunner:
     def _session_record(self, summary: CampaignSummary,
                         wall_seconds: float) -> None:
         """One ``kind="session"`` ledger record closing the campaign,
-        linking it to its structured log and progress directory."""
+        linking it to its structured log."""
         if self.ledger is None:
             return
         from repro.obs.ledger import record_from_session
@@ -590,6 +560,4 @@ class CampaignRunner:
              "cells_quarantined": len(summary.quarantined),
              "cells_degraded": len(summary.degraded),
              "wall_seconds": wall_seconds},
-            log_path=str(self.log.path) if self.log.enabled else None,
-            progress_dir=(str(self.progress.dir)
-                          if self.progress is not None else None)))
+            log_path=str(self.log.path) if self.log.enabled else None))

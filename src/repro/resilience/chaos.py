@@ -3,8 +3,7 @@
 The resilience layer in :mod:`repro.resilience` hardens the *simulated*
 machine; this module attacks the *host* machinery that runs it: worker
 processes, the content-addressed result cache, and the append-only
-JSONL stores (ledger, campaign journal, structured log, progress
-files).  A :class:`ChaosPolicy` decides — deterministically, from a
+JSONL stores (ledger, campaign journal, structured log).  A :class:`ChaosPolicy` decides — deterministically, from a
 seed — whether a given *site* suffers a fault:
 
 * **worker faults** — SIGKILL, an indefinite hang (the runner timeout
@@ -13,7 +12,7 @@ seed — whether a given *site* suffers a fault:
   subprocess attempts;
 * **append faults** — a torn (truncated) write or a simulated
   ``ENOSPC`` in :func:`repro.obs.structlog.append_jsonl`, the shared
-  seam under the ledger, journal, log and progress stores;
+  seam under the ledger, journal and log stores;
 * **cache-entry faults** — a bit-flipped or truncated payload, or
   ``ENOSPC``, on :meth:`repro.analysis.result_cache.ResultCache.put`.
 
@@ -74,7 +73,7 @@ class ChaosPolicy:
     hang_prob: float = 0.0
     slow_prob: float = 0.0
     slow_seconds: float = 0.2
-    #: JSONL append faults (ledger / journal / structlog / progress).
+    #: JSONL append faults (ledger / journal / structlog).
     torn_write_prob: float = 0.0
     enospc_prob: float = 0.0
     #: Result-cache entry payload corruption on store.

@@ -2,7 +2,7 @@
 
 Every durable artifact this repo writes — the content-addressed result
 cache, the run ledger and its derived index, campaign journals, the
-structured log, progress files — is built to *tolerate* corruption
+structured log — is built to *tolerate* corruption
 (torn tails skipped on read, checksums verified, corrupt cache entries
 quarantined).  This module adds the offline complement: ``repro fsck
 [--repair]`` walks those stores, reports a typed list of
@@ -51,7 +51,7 @@ from repro.obs.structlog import CHECKSUM_FIELD, record_checksum
 class Issue:
     """One finding: where, what, and whether/how it was handled."""
 
-    store: str      # cache | ledger | journal | log | progress
+    store: str      # cache | ledger | journal | log
     path: str
     kind: str
     detail: str
@@ -314,7 +314,6 @@ def fsck_all(cache_dir: Union[None, str, os.PathLike] = None,
              ledger: Union[None, str, os.PathLike] = None,
              journals: Optional[List[Union[str, os.PathLike]]] = None,
              log: Union[None, str, os.PathLike] = None,
-             progress_dir: Union[None, str, os.PathLike] = None,
              repair: bool = False) -> FsckReport:
     """One fsck pass over every store the caller names (or the
     environment defaults for the cache and ledger)."""
@@ -337,7 +336,4 @@ def fsck_all(cache_dir: Union[None, str, os.PathLike] = None,
                    drop_status="quarantined")
     if log is not None:
         fsck_jsonl(log, "log", report, repair=repair)
-    if progress_dir is not None and Path(progress_dir).is_dir():
-        for path in sorted(Path(progress_dir).glob("*.jsonl")):
-            fsck_jsonl(path, "progress", report, repair=repair)
     return report

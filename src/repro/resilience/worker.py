@@ -49,9 +49,8 @@ from repro.analysis.harness import bench_config, bench_gen_ctx
 from repro.core.config import ResilienceConfig
 from repro.core.results import RunResult
 from repro.core.system import GpuSystem
-from repro.obs.progress import (PROGRESS_ENV, HeartbeatThread, ProgressWriter,
-                                heartbeat_interval)
-from repro.obs.structlog import StructLog, resolve_log, run_context
+from repro.obs.progress import HeartbeatThread
+from repro.obs.structlog import resolve_log, run_context
 from repro.resilience.chaos import active_chaos
 from repro.resilience.faults import make_process
 from repro.resilience.recovery import RecoveryPolicy
@@ -59,24 +58,14 @@ from repro.sim.engine import Watchdog
 from repro.workloads import make_workload
 
 
-def _cell_telemetry(spec: Dict[str, Any], cell_id: str):
-    """Resolve the telemetry channels a cell spec (or the environment)
-    points this worker at.
-
-    Pool specs carry ``log``/``log_level``/``progress_dir`` keys;
-    campaign subprocesses inherit ``REPRO_LOG`` / ``REPRO_PROGRESS_DIR``
-    from the parent.  Returns ``(log, progress_writer_or_None)``.
-    """
-    if spec.get("log"):
-        log = StructLog(spec["log"], level=spec.get("log_level", "debug"))
-    else:
-        log = resolve_log(None)  # environment default
+def _cell_log(spec: Dict[str, Any], cell_id: str):
+    """The structured log a cell spec (or the environment) points this
+    worker at: pool specs carry a ``log`` path; campaign subprocesses
+    inherit ``REPRO_LOG`` from the parent."""
+    log = resolve_log(spec.get("log"))
     if log.enabled:
         log = log.bind(**run_context(cell=cell_id, role="worker"))
-    progress_dir = spec.get("progress_dir") or os.environ.get(PROGRESS_ENV)
-    progress = (ProgressWriter(progress_dir, role="worker")
-                if progress_dir else None)
-    return log, progress
+    return log
 
 
 def _chaos_seam(spec: Dict[str, Any], cell_id: str, log) -> None:
@@ -133,7 +122,8 @@ def run_cell_result(spec: Dict[str, Any]) -> "RunResult":
     subprocess boundary (:func:`run_cell`) wraps it in a summary
     object, while the in-process parallel harness
     (:meth:`repro.analysis.harness.ExperimentHarness.matrix` with
-    ``workers``) calls it directly through a ``ProcessPoolExecutor``.
+    ``workers``) calls it through :func:`run_pool_cell` in a
+    ``ProcessPoolExecutor``.
     A spec travelling through pickle may carry the fully-built
     :class:`~repro.core.config.SystemConfig` under ``"config"``;
     otherwise the config is reconstructed from the JSON fields via
@@ -141,18 +131,17 @@ def run_cell_result(spec: Dict[str, Any]) -> "RunResult":
     """
     cell_id = spec.get("cell",
                        f"{spec.get('workload', '?')}/{spec.get('scheme', '?')}")
-    log, progress = _cell_telemetry(spec, cell_id)
+    log = _cell_log(spec, cell_id)
     sabotage = spec.get("sabotage")
-    log.info("worker.cell.start", sabotage=sabotage)
-    heartbeat = None
-    if progress is not None:
-        # Lifecycle + liveness: the start record marks the cell
-        # in-flight, the heartbeat thread keeps this pid fresh; a hang
-        # from here on shows up as a stale worker in `obs top`.
-        progress.cell(cell_id, "start")
-        heartbeat = HeartbeatThread(progress, heartbeat_interval()).start()
+    # Lifecycle + liveness: the start record marks the cell in flight,
+    # the heartbeat thread keeps this pid fresh; a hang from here on
+    # shows up as a stale worker in `obs top`.  A failure is not
+    # logged here: it is the cell's verdict only in a pool (see
+    # run_pool_cell); a campaign runner may retry it instead.
+    log.info("cell.start", sabotage=sabotage)
+    heartbeat = HeartbeatThread(log).start() if log.enabled else None
     try:
-        # Chaos fires after the progress/heartbeat start records, so a
+        # Chaos fires after the start and heartbeat records, so a
         # killed or hung worker is visible in `obs top` exactly like a
         # real host fault would be.
         _chaos_seam(spec, cell_id, log)
@@ -184,24 +173,29 @@ def run_cell_result(spec: Dict[str, Any]) -> "RunResult":
         host_seconds = time.perf_counter() - started
         result = system.result(workload.name, cycles, host_seconds)
     except Exception as exc:
-        error = f"{type(exc).__name__}: {exc}"
         if "watchdog" in str(exc):
-            log.warn("worker.watchdog_fire", error=error)
-        log.error("worker.cell.failed", error=error)
-        if progress is not None:
-            progress.cell(cell_id, "failed", error=error)
+            log.warn("worker.watchdog_fire",
+                     error=f"{type(exc).__name__}: {exc}")
         raise
     finally:
         if heartbeat is not None:
             heartbeat.stop()
-    log.info("worker.cell.done", cycles=result.cycles,
+    log.info("cell.done", cycles=result.cycles,
              events=int(result.events_executed),
              host_seconds=round(result.host_seconds, 3))
-    if progress is not None:
-        progress.cell(cell_id, "done",
-                      events=int(result.events_executed),
-                      host_seconds=round(result.host_seconds, 3))
     return result
+
+
+def run_pool_cell(spec: Dict[str, Any]) -> "RunResult":
+    """:func:`run_cell_result` for the parallel harness's process pool,
+    which never retries: a failed attempt is the cell's verdict, so the
+    worker logs ``cell.failed`` before re-raising."""
+    try:
+        return run_cell_result(spec)
+    except Exception as exc:
+        _cell_log(spec, spec["cell"]).error(
+            "cell.failed", error=f"{type(exc).__name__}: {exc}")
+        raise
 
 
 def run_cell(spec: Dict[str, Any]) -> Dict[str, Any]:

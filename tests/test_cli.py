@@ -338,26 +338,24 @@ def test_compare_live_single_frame_and_session_record(tmp_path, capsys):
 
     ledger = tmp_path / "ledger.jsonl"
     log = tmp_path / "cmp.log.jsonl"
-    progress = tmp_path / "progress"
     rc = main(["compare", "-w", "vecadd", "--scale", "0.03", "--no-cache",
                "--ledger", str(ledger), "--log-out", str(log),
-               "--live", "--live-interval", "0",
-               "--progress-dir", str(progress)])
+               "--live", "--live-interval", "0"])
     assert rc == 0
     out = capsys.readouterr().out
     # The final dashboard frame reports real fleet state.
     assert "6/6 cells" in out
     assert "done 6" in out
     assert "cache hit ratio" in out and "eta" in out
-    # Cell lifecycle came over the progress channel.
-    assert any(progress.glob("*.jsonl"))
-    # The session record links the run to its log + progress artifacts.
+    # The dashboard folded the log the run was pointed at.
+    assert f"live telemetry: log {log}" in out
+    # The session record, folded from the same log, links the run to it.
     records = [json.loads(line) for line in open(ledger) if line.strip()]
     sessions = [r for r in records if r.get("kind") == "session"]
     assert len(sessions) == 1
     assert sessions[0]["metrics"]["cells_done"] == 6
     assert sessions[0]["log"] == str(log)
-    assert sessions[0]["progress_dir"] == str(progress)
+    assert "progress_dir" not in sessions[0]
     # Run records link to the log too.
     runs = [r for r in records if r.get("kind") == "run"]
     assert runs and all(r.get("log") == str(log) for r in runs)
@@ -401,7 +399,7 @@ def test_obs_history_kind_session_filter(tmp_path, capsys):
     ledger = tmp_path / "ledger.jsonl"
     assert main(["compare", "-w", "vecadd", "--scale", "0.03", "--no-cache",
                  "--ledger", str(ledger), "--live", "--live-interval", "0",
-                 "--progress-dir", str(tmp_path / "prog")]) == 0
+                 "--log-out", str(tmp_path / "cmp.log.jsonl")]) == 0
     capsys.readouterr()
     assert main(["obs", "history", "--ledger", str(ledger),
                  "--kind", "session"]) == 0

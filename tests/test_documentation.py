@@ -7,6 +7,8 @@ tests enforce it mechanically so the promise cannot rot.
 import importlib
 import inspect
 import pkgutil
+import re
+from pathlib import Path
 
 import pytest
 
@@ -60,3 +62,18 @@ def test_readme_mentions_key_entry_points():
     for needle in ("run_workload", "cachecraft-sim", "pytest benchmarks/",
                    "DESIGN.md", "EXPERIMENTS.md"):
         assert needle in readme, needle
+
+
+def test_experiments_sections_point_at_their_results_files():
+    """Each F/T section of EXPERIMENTS.md names the results file the
+    benchmarks regenerate, instead of a hand-copied table that can go
+    stale."""
+    root = Path(__file__).resolve().parents[1]
+    text = (root / "EXPERIMENTS.md").read_text()
+    sections = re.findall(r"^## ([FT]\d+) —(.*?)(?=^## |\Z)", text,
+                          flags=re.M | re.S)
+    assert len(sections) >= 19
+    for ident, body in sections:
+        results = f"benchmarks/results/{ident}.txt"
+        assert results in body, f"EXPERIMENTS.md {ident} lacks {results}"
+        assert (root / results).is_file(), results

@@ -234,33 +234,26 @@ class TestFsckAll:
         append_jsonl(log, {"event": "x"})
         with log.open("a") as fh:
             fh.write('{"torn')
-        progress = tmp_path / "progress"
-        progress.mkdir()
-        append_jsonl(progress / "worker-1.jsonl", {"kind": "heartbeat"})
         ledger = RunLedger(tmp_path / "ledger.jsonl")
         ledger.append({"kind": "run", "workload": "w", "scheme": "s",
                        "cycles": 1})
 
         report = fsck_all(cache_dir=tmp_path / "cache",
                           ledger=tmp_path / "ledger.jsonl",
-                          journals=[journal], log=log,
-                          progress_dir=progress)
-        assert set(report.scanned) \
-            == {"cache", "ledger", "journal", "log", "progress"}
+                          journals=[journal], log=log)
+        assert set(report.scanned) == {"cache", "ledger", "journal", "log"}
         assert kinds(report) == ["bad_entry", "quarantined_cell",
                                  "torn_tail"]
         assert not report.ok
 
         repaired = fsck_all(cache_dir=tmp_path / "cache",
                             ledger=tmp_path / "ledger.jsonl",
-                            journals=[journal], log=log,
-                            progress_dir=progress, repair=True)
+                            journals=[journal], log=log, repair=True)
         assert repaired.ok
 
         clean = fsck_all(cache_dir=tmp_path / "cache",
                          ledger=tmp_path / "ledger.jsonl",
-                         journals=[journal], log=log,
-                         progress_dir=progress)
+                         journals=[journal], log=log)
         # Only the inventory of the newly-quarantined entry remains.
         assert kinds(clean) == ["quarantined_entry"]
         assert clean.ok

@@ -267,15 +267,13 @@ class TestRecordBuilders:
                    "cells_cached": 0, "cache_hit_ratio": 0.0,
                    "wall_seconds": 12.5, "note": "not-a-metric"}
         rec = record_from_session("campaign", summary,
-                                  log_path="/tmp/c.log.jsonl",
-                                  progress_dir="/tmp/prog")
+                                  log_path="/tmp/c.log.jsonl")
         assert rec["kind"] == "session"
         assert rec["cell"] == "session/campaign"
         assert rec["label"] == "campaign"
         assert rec["metrics"]["cells_done"] == 5
         assert "note" not in rec["metrics"]  # numeric metrics only
         assert rec["log"] == "/tmp/c.log.jsonl"
-        assert rec["progress_dir"] == "/tmp/prog"
 
 
 # -- harness integration ------------------------------------------------------

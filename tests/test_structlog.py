@@ -1,4 +1,4 @@
-"""Structured log: levels, context binding, durability discipline."""
+"""Structured log: records, context binding, durability discipline."""
 
 import json
 import os
@@ -6,12 +6,9 @@ import subprocess
 import sys
 import time
 
-import pytest
-
-from repro.obs.structlog import (CHECKSUM_FIELD, LOG_ENV, LOG_LEVEL_ENV,
-                                 NULL_LOG, NullLog, StructLog, append_jsonl,
-                                 read_jsonl, record_checksum, resolve_log,
-                                 run_context)
+from repro.obs.structlog import (CHECKSUM_FIELD, LOG_ENV, NULL_LOG, NullLog,
+                                 StructLog, append_jsonl, read_jsonl,
+                                 record_checksum, resolve_log, run_context)
 
 
 class TestJsonlPrimitives:
@@ -95,14 +92,6 @@ class TestStructLog:
         assert rec["pid"] == os.getpid()
         assert isinstance(rec["ts"], float)
 
-    def test_level_threshold_filters(self, tmp_path):
-        log = StructLog(tmp_path / "log.jsonl", level="warn")
-        log.debug("a")
-        log.info("b")
-        log.warn("c")
-        log.error("d")
-        assert [r["event"] for r in log.records()] == ["c", "d"]
-
     def test_bind_merges_context_into_children(self, tmp_path):
         log = StructLog(tmp_path / "log.jsonl").bind(run="r1")
         log.bind(cell="saxpy/none").info("x")
@@ -144,13 +133,15 @@ class TestResolveLog:
             assert not resolve_log(None).enabled
 
     def test_env_path_and_level(self, tmp_path, monkeypatch):
+        # Every level is recorded (the log carries the cell lifecycle
+        # stream); readers filter on each record's level field.
         monkeypatch.setenv(LOG_ENV, str(tmp_path / "env.jsonl"))
-        monkeypatch.setenv(LOG_LEVEL_ENV, "info")
         log = resolve_log(None)
         assert log.enabled
-        log.debug("dropped")
-        log.info("kept")
-        assert [r["event"] for r in log.records()] == ["kept"]
+        log.debug("a")
+        log.info("b")
+        assert [(r["event"], r["level"]) for r in log.records()] \
+            == [("a", "debug"), ("b", "info")]
 
     def test_existing_log_passes_through(self, tmp_path):
         log = StructLog(tmp_path / "log.jsonl")
@@ -194,11 +185,6 @@ class TestLogResilience:
         log.info("also-good")
         events = [r.get("event") for r in log.records()]
         assert events == ["good", "also-good"]
-
-
-def test_levels_reject_unknown(tmp_path):
-    with pytest.raises(ValueError):
-        StructLog(tmp_path / "log.jsonl", level="verbose")
 
 
 APPENDER = """\
