@@ -39,10 +39,10 @@ def f10_speculative(scale: float = BENCH_SCALE) -> ExperimentOutput:
         ["workload", "cachecraft", "+speculative", "spec grants"],
         rows, title="F10: speculative use (extension)")
     return ExperimentOutput("F10", "Speculative-use extension", data, text,
-                            notes=["modest gains only (~2% geomean): the "
-                                   "craft buffer already overlaps most "
-                                   "verification latency; the residual "
-                                   "overhead is bandwidth"])
+                            notes=[f"near-tie ({gm_spec - gm_plain:+.3f} "
+                                   "geomean): the craft buffer already "
+                                   "overlaps most verification latency; "
+                                   "the residual overhead is bandwidth"])
 
 
 def test_f10_speculative(benchmark, report):

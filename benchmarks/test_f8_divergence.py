@@ -13,10 +13,11 @@ def test_f8_divergence(benchmark, report):
     report(out)
     perf = out.data["perf"]
 
-    # Granule-code schemes improve as the workload touches more of each
-    # granule (less overfetch per miss).
+    # Granule-code schemes improve monotonically as the workload
+    # touches more of each granule (less overfetch per miss).
     for scheme in ("inline-full", "cachecraft"):
-        assert perf[1.0][scheme] > perf[0.25][scheme], scheme
+        curve = [perf[density][scheme] for density in DENSITIES]
+        assert all(a < b for a, b in zip(curve, curve[1:])), (scheme, curve)
         assert perf[1.0][scheme] > 0.6, scheme
 
     # The per-sector metadata scheme pays per miss regardless of

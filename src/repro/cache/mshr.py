@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional
 
-from repro.sim.stats import Counter, StatGroup
+from repro.sim.stats import StatGroup
 
 
 @dataclass(slots=True)
@@ -88,12 +88,6 @@ class MshrFile:
         self._allocs.add(1)
         self.peak = max(self.peak, len(self._entries))
         return entry
-
-    def stall_counter(self, key: int) -> Counter:
-        """The counter a failed :meth:`allocate` of ``key`` bumped: a
-        merge stall if ``key`` is in flight, else a full stall."""
-        return self._merge_stalls if key in self._entries \
-            else self._full_stalls
 
     def complete(self, key: int) -> List[Callable[[], None]]:
         """Remove the entry; returns the waiters for the caller to fire."""

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.cache.replacement import ReplacementPolicy, make_policy
-from repro.sim.stats import Counter, StatGroup
+from repro.sim.stats import StatGroup
 
 
 class LookupResult(enum.Enum):
@@ -228,35 +228,6 @@ class SectoredCache:
         if requested - hits:
             self._sector_misses.add(requested - hits)
         return hit_mask, line
-
-    def lookup_mask_effects(self, sector_mask: int, hit_mask: int,
-                            line: Optional[CacheLine]
-                            ) -> Tuple[Tuple[Tuple[Counter, int], ...],
-                                       Optional[Tuple[ReplacementPolicy, int]]]:
-        """What a :meth:`lookup_mask` that returned ``(hit_mask, line)``
-        did to the counters and the replacement state, as
-        ``(counter deltas, (policy, way) touched or None)``.
-
-        Lets a caller that retries an unchanged lookup replay its effects
-        without redoing it.  The introspection hook is not covered:
-        callers must take the full path while ``_insp`` is set.
-        """
-        requested = sector_mask.bit_count()
-        if line is None:
-            return ((self._line_misses, 1),
-                    (self._line_miss_sectors, requested)), None
-        hits = hit_mask.bit_count()
-        deltas: List[Tuple[Counter, int]] = []
-        touch = None
-        if hits:
-            deltas.append((self._hits, hits))
-            if line.is_metadata:
-                deltas.append((self._metadata_hits, hits))
-            set_idx, way = self._directory[line.line_addr]
-            touch = (self._policies[set_idx], way)
-        if requested - hits:
-            deltas.append((self._sector_misses, requested - hits))
-        return tuple(deltas), touch
 
     def probe(self, line_addr: int) -> Optional[CacheLine]:
         """Non-intrusive tag probe: no stats, no replacement update."""

@@ -27,9 +27,10 @@ Subcommands:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
-from typing import List, Optional
+from typing import Iterator, List, Optional
 
 from repro.analysis.experiments import EXPERIMENTS
 from repro.analysis.harness import bench_config, bench_gen_ctx, compare_schemes
@@ -119,34 +120,45 @@ def _add_live_args(parser: argparse.ArgumentParser) -> None:
                        help="render a live fleet dashboard folded from "
                             "the structured log (plain-text frames; "
                             "works without a TTY); logs to a temporary "
-                            "file when no log is configured")
+                            "file, removed at the end of the run, when no "
+                            "log is configured")
     group.add_argument("--live-interval", type=float, default=1.0,
                        metavar="SEC",
                        help="seconds between dashboard frames; 0 prints "
                             "a single final frame (CI mode; default 1)")
 
 
-def _start_live(args: argparse.Namespace, log, title: str):
-    """With ``--live``, start the dashboard over the run's structured
-    log, first pointing ``log`` at a fresh temporary file when no log
-    is configured.  Returns ``(log, renderer or None)``."""
+@contextlib.contextmanager
+def _live(args: argparse.Namespace, log, title: str) -> Iterator:
+    """With ``--live``, run the block under a dashboard over the run's
+    structured log, first pointing ``log`` at a fresh temporary file
+    when no log is configured.  Yields the log; on exit stops the
+    dashboard and removes the temporary file."""
     if not args.live:
-        return log, None
+        yield log
+        return
     from repro.obs.progress import LiveRenderer
 
+    temp = None
     if not log.enabled:
         import tempfile
 
         from repro.obs.structlog import StructLog
 
-        fd, path = tempfile.mkstemp(prefix="repro-live-",
+        fd, temp = tempfile.mkstemp(prefix="repro-live-",
                                     suffix=".log.jsonl")
         os.close(fd)
-        log = StructLog(path)
+        log = StructLog(temp)
     print(f"live telemetry: log {log.path} "
           f"(follow along with `obs top {log.path}`)")
-    return log, LiveRenderer(log.path, interval=args.live_interval,
-                             title=title).start()
+    renderer = LiveRenderer(log.path, interval=args.live_interval,
+                            title=title).start()
+    try:
+        yield log
+    finally:
+        renderer.stop()
+        if temp is not None:
+            os.unlink(temp)
 
 
 def _ledger_from_args(args: argparse.Namespace, required: bool = False):
@@ -662,31 +674,27 @@ def _cmd_compare(args: argparse.Namespace) -> int:
               "serially so --trace-out/--metrics-out/--inspect-out "
               "are not lost", file=sys.stderr)
         workers = None
-    log, renderer = _start_live(args, _log_from_args(args),
-                                title=f"compare: {args.workload}")
     ledger = _ledger_from_args(args)
-    harness = ExperimentHarness(scale=args.scale, seed=args.seed,
-                                obs_factory=obs_factory,
-                                cache_dir=cache_dir,
-                                ledger=ledger or False,
-                                ledger_label="cli.compare",
-                                fidelity=args.fidelity, log=log)
-    try:
+    with _live(args, _log_from_args(args),
+               title=f"compare: {args.workload}") as log:
+        harness = ExperimentHarness(scale=args.scale, seed=args.seed,
+                                    obs_factory=obs_factory,
+                                    cache_dir=cache_dir,
+                                    ledger=ledger or False,
+                                    ledger_label="cli.compare",
+                                    fidelity=args.fidelity, log=log)
         rows = compare_schemes(args.workload, scale=args.scale,
                                seed=args.seed, obs_factory=obs_factory,
                                workers=workers, harness=harness,
                                fidelity=args.fidelity)
-    finally:
-        if renderer is not None:
-            renderer.stop()
-    if ledger is not None and log.enabled:
-        from repro.obs.ledger import record_from_session
-        from repro.obs.progress import snapshot, summary_dict
-        from repro.obs.structlog import read_jsonl
+        if ledger is not None and log.enabled:
+            from repro.obs.ledger import record_from_session
+            from repro.obs.progress import snapshot, summary_dict
+            from repro.obs.structlog import read_jsonl
 
-        summary = summary_dict(snapshot(read_jsonl(log.path)))
-        ledger.safe_append(record_from_session("cli.compare", summary,
-                                               log_path=str(log.path)))
+            summary = summary_dict(snapshot(read_jsonl(log.path)))
+            ledger.safe_append(record_from_session(
+                "cli.compare", summary, log_path=str(log.path)))
     timed = args.fidelity == "event"
     table = [[r["scheme"],
               r["norm_perf"] if timed else "-",
@@ -876,23 +884,18 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         # the same policy (and the append seams in this process arm).
         os.environ[CHAOS_ENV] = args.chaos_policy
         print(f"chaos policy armed: {policy.to_json()}")
-    log, renderer = _start_live(args, _log_from_args(args),
-                                title="campaign")
-    runner = CampaignRunner(args.journal, workers=args.workers,
-                            timeout=args.timeout,
-                            max_attempts=args.max_attempts,
-                            retry_backoff=args.retry_backoff,
-                            retry_backoff_max=args.retry_backoff_max,
-                            degrade=args.degrade,
-                            ledger=_ledger_from_args(args), log=log)
-    try:
+    with _live(args, _log_from_args(args), title="campaign") as log:
+        runner = CampaignRunner(args.journal, workers=args.workers,
+                                timeout=args.timeout,
+                                max_attempts=args.max_attempts,
+                                retry_backoff=args.retry_backoff,
+                                retry_backoff_max=args.retry_backoff_max,
+                                degrade=args.degrade,
+                                ledger=_ledger_from_args(args), log=log)
         # The dashboard supersedes the per-cell progress lines (both on
         # stdout would interleave).
         summary = runner.run(cells, resume=not args.no_resume,
-                             progress=None if renderer else print)
-    finally:
-        if renderer is not None:
-            renderer.stop()
+                             progress=None if args.live else print)
     rows = []
     for cell in cells:
         cell_id = cell["cell"]

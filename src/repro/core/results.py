@@ -15,7 +15,9 @@ from typing import Dict, Optional
 #: v5: ``GenContext.scaled_dim`` gained per-dimensionality scaling
 #: (3D volumes now scale linearly with ``scale``), which changes
 #: stencil3d traces — and therefore its traffic — at scale != 1.
-MODEL_VERSION = "5"
+#: v6: stalled warps and idle DRAM channels wake on the event that
+#: frees them instead of polling, which re-times event-tier runs.
+MODEL_VERSION = "6"
 
 
 @dataclass

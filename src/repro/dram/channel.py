@@ -4,7 +4,8 @@ The channel accepts 32 B-atom read/write requests and calls each
 request's callback at data-return time.  Scheduling is first-ready
 FCFS: among requests whose bank can accept a command *now*, row hits
 beat row misses, then age; when nothing is issuable the channel sleeps
-until the earliest bank frees up.
+until the earliest bank of the scanned queue frees up, the next refresh
+or the next enqueue, whichever comes first.
 
 Writes are *posted*: the issuer's callback (if any) fires when the
 write is accepted into the queue, but the write still competes for
@@ -20,7 +21,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Set
 
 from repro.dram.mapping import AddressMapping
 from repro.dram.timing import DramTiming
@@ -108,18 +109,17 @@ class MemoryChannel:
         self._write_mode = False
         self._bus_free_at = 0
         self._last_was_write = False
-        self._wakeup_scheduled = False
         self._next_refresh = timing.t_refi if timing.refresh_enabled else None
-        #: Scheduler memo of the last failed FR-FCFS scan (see
-        #: :meth:`_choose`): until ``_blocked_until`` every tick would
-        #: fail the same way, so it only re-books the wakeup for
-        #: ``_soonest`` (lazily computed).  Everything the scan reads --
-        #: the queues, bank ready times and open rows -- changes only in
-        #: :meth:`enqueue`, :meth:`_issue` and :meth:`_maybe_refresh`,
-        #: which clear it; :meth:`_update_mode` is idempotent while the
-        #: queue lengths are fixed.
+        #: The one live scheduler tick (``_NEVER``: none).  Booking an
+        #: earlier time supersedes it; the superseded heap entry then
+        #: returns at once, unless a later booking reuses its time.
+        self._wake_at = _NEVER
+        #: Times of the tick entries in the event heap, live or not, so
+        #: no time is ever booked twice.
+        self._booked: Set[int] = set()
+        #: Earliest bank-ready time in the window of the last failed
+        #: FR-FCFS scan (see :meth:`_choose`).
         self._blocked_until = 0
-        self._soonest: Optional[int] = None
         #: Opt-in per-bank row-locality view; set exclusively by
         #: :class:`repro.obs.inspect.MemoryInspector`.  The hook in
         #: :meth:`_issue` guards on it, so disabled runs only pay one
@@ -148,7 +148,6 @@ class MemoryChannel:
     def enqueue(self, request: DramRequest) -> None:
         """Submit a request; its callback fires at data-return time."""
         request.enqueue_time = self.sim.now
-        self._blocked_until = 0
         frame = request.addr // self.timing.row_bytes
         request.bank = frame % self.timing.banks
         request.row = frame // self.timing.banks
@@ -165,7 +164,7 @@ class MemoryChannel:
                 self.sim.schedule(0, cb)
         else:
             self._reads.add(request.atoms)
-        self._wake(0)
+        self._book(self.sim.now)
 
     def bytes_by_kind(self) -> Dict[str, int]:
         """Traffic totals keyed by kind value (for F2)."""
@@ -181,10 +180,16 @@ class MemoryChannel:
 
     # -- scheduling ----------------------------------------------------------
 
-    def _wake(self, delay: int) -> None:
-        if not self._wakeup_scheduled:
-            self._wakeup_scheduled = True
-            self.sim.schedule(delay, self._tick)
+    def _book(self, when: int) -> None:
+        """Make ``when`` the next tick if it is earlier than the booked
+        one.  Only the events that change the issuable set book: an
+        enqueue (new request, maybe a mode flip), a bank freeing up and
+        a refresh."""
+        if when < self._wake_at:
+            self._wake_at = when
+            if when not in self._booked:
+                self._booked.add(when)
+                self.sim.schedule_at(when, self._tick)
 
     def _update_mode(self) -> None:
         if self._write_mode:
@@ -197,32 +202,34 @@ class MemoryChannel:
                 self._write_mode = True
 
     def _tick(self) -> None:
-        self._wakeup_scheduled = False
         now = self.sim.now
+        self._booked.discard(now)
+        if now != self._wake_at:
+            return  # superseded by an earlier booking
+        self._wake_at = _NEVER
         self._maybe_refresh(now)
-        if now < self._blocked_until:
-            # Nothing changed since the last failed scan: it would fail
-            # again and book the same wakeup.
-            self._wake(max(1, self._soonest_ready() - now))
-            return
         while self._read_q or self._write_q:
             self._update_mode()
             queue = self._write_q if self._write_mode else self._read_q
             chosen = self._choose(queue, now)
             if chosen is None:
-                if not self._wakeup_scheduled:
-                    self._wake(max(1, self._soonest_ready() - now))
+                # Until a bank of the window frees up (or a refresh, or
+                # an enqueue) every scan would fail the same way.
+                wake = self._blocked_until
+                if self._next_refresh is not None \
+                        and self._next_refresh < wake:
+                    wake = self._next_refresh
+                self._book(max(now + 1, wake))
                 return
             self._issue(chosen, now)
-            now = self.sim.now  # unchanged; issue just books future times
 
     def _choose(self, queue: List[DramRequest],
                 now: int) -> Optional[DramRequest]:
         """FR-FCFS over a bounded window of one queue.
 
-        On failure, records the scheduler memo: ``_blocked_until``, the
-        earliest time a bank of this window frees up (nothing in the
-        window is issuable before it).
+        On failure, records ``_blocked_until``, the earliest time a bank
+        of this window frees up (nothing in the window is issuable
+        before it).
         """
         best_idx = -1
         blocked = _NEVER
@@ -243,26 +250,10 @@ class MemoryChannel:
                 best_idx = idx
         if best_idx < 0:
             self._blocked_until = blocked
-            self._soonest = None
             return None
         return queue.pop(best_idx)
 
-    def _soonest_ready(self) -> int:
-        """Earliest bank-ready time over both windows, computed once per
-        memo (the scanned window's part is ``_blocked_until``)."""
-        if self._soonest is None:
-            other = self._read_q if self._write_mode else self._write_q
-            banks = self._banks
-            soonest = self._blocked_until
-            for idx in range(min(len(other), self.SCHED_WINDOW)):
-                ready = banks[other[idx].bank].ready_at
-                if ready < soonest:
-                    soonest = ready
-            self._soonest = soonest
-        return self._soonest
-
     def _issue(self, req: DramRequest, now: int) -> None:
-        self._blocked_until = 0
         t = self.timing
         bank = self._banks[req.bank]
 
@@ -322,15 +313,12 @@ class MemoryChannel:
             latency = data_end - req.enqueue_time
             self._queue_latency.record(latency)
             self.sim.schedule_at(data_end, req.callback or _noop)
-        if self._read_q or self._write_q:
-            self._wake(1)
 
     def _maybe_refresh(self, now: int) -> None:
         if self._next_refresh is None or now < self._next_refresh:
             return
         t = self.timing
         # Blackout: all banks unavailable for t_rfc, rows closed.
-        self._blocked_until = 0
         end = now + t.t_rfc
         for bank in self._banks:
             bank.ready_at = max(bank.ready_at, end)

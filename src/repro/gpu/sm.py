@@ -23,14 +23,13 @@ from collections import deque
 from typing import Callable, Deque, Iterator, List, Optional, Tuple
 
 from repro.cache.mshr import MshrFile
-from repro.cache.replacement import ReplacementPolicy
 from repro.cache.sectored import SectoredCache
 from repro.gpu.coalescer import coalesce, coalesce_summary
 from repro.gpu.crossbar import Crossbar
 from repro.gpu.trace import ComputeOp, MemoryOp, WarpOp
 from repro.sim.engine import Simulator
 from repro.sim.resources import OccupancyLimiter
-from repro.sim.stats import Counter, StatGroup
+from repro.sim.stats import StatGroup
 
 
 class _WarpState(enum.Enum):
@@ -43,7 +42,7 @@ class _WarpState(enum.Enum):
 class _Warp:
     __slots__ = ("warp_id", "ops", "state", "txns", "next_txn",
                  "outstanding", "is_store_op", "is_atomic_op", "mem_start",
-                 "stall_epoch", "stall_deltas", "stall_touch")
+                 "parked_at")
 
     def __init__(self, warp_id: int, ops: Iterator[WarpOp]):
         self.warp_id = warp_id
@@ -57,13 +56,9 @@ class _Warp:
         #: Trace-only: issue time of the in-flight memory op (None when
         #: tracing is off or no memory op is in flight).
         self.mem_start: Optional[int] = None
-        #: Memo of the last failed issue attempt (see
-        #: :meth:`StreamingMultiprocessor._advance_mem_op`): the SM
-        #: epoch it failed at, the counter deltas it made and the
-        #: replacement touch ``(policy, way)`` of its L1 sector hits.
-        self.stall_epoch = -1
-        self.stall_deltas: Tuple[Tuple[Counter, int], ...] = ()
-        self.stall_touch: Optional[Tuple[ReplacementPolicy, int]] = None
+        #: Cycle of the last failed issue attempt; a woken warp
+        #: re-attempts on this cycle's ``RETRY_CYCLES`` grid.
+        self.parked_at = 0
 
 
 class StreamingMultiprocessor:
@@ -127,11 +122,11 @@ class StreamingMultiprocessor:
         #: time, friendlier to DRAM row locality.
         self.scheduler = scheduler
         self._greedy_warp: Optional[_Warp] = None
-        #: Bumped by every change a failed issue attempt depends on:
-        #: an issued transaction, an L2 response (L1 fill, MSHR
-        #: completion) and a store-credit release.  A warp whose memo
-        #: carries the current epoch would fail again exactly as before.
-        self._epoch = 0
+        #: Warps whose last issue attempt failed, in parking order.  No
+        #: event is queued for them: every change an attempt depends on
+        #: (an issued transaction, an L2 response, a store-credit
+        #: release) wakes them all through :meth:`_wake_parked`.
+        self._parked: List[_Warp] = []
 
     # -- setup ---------------------------------------------------------------
 
@@ -163,6 +158,7 @@ class StreamingMultiprocessor:
         store buffer and ``finish_time`` persist."""
         self._warps.clear()
         self._ready.clear()
+        self._parked.clear()
         self._active_warps = 0
         self._greedy_warp = None
 
@@ -249,20 +245,9 @@ class StreamingMultiprocessor:
     def _advance_mem_op(self, warp: _Warp) -> None:
         """Issue remaining transactions; park on structural stalls.
 
-        A stalled warp polls every ``RETRY_CYCLES``.  While the SM's
-        epoch is unchanged, a retry would redo the failed attempt with
-        the same outcome, so it replays the memoized counter deltas
-        instead (bit-identical, including the event count).
+        A parked warp queues no event; the next change that could let
+        it issue wakes it (:meth:`_wake_parked`).
         """
-        if warp.stall_epoch == self._epoch:
-            for counter, delta in warp.stall_deltas:
-                counter.value += delta
-            if warp.stall_touch is not None:
-                policy, way = warp.stall_touch
-                policy.on_access(way)
-            self._stall_retries.add(1)
-            self.sim.schedule(self.RETRY_CYCLES, self._advance_mem_op, warp)
-            return
         while warp.next_txn < len(warp.txns):
             line_addr, mask = warp.txns[warp.next_txn]
             if warp.is_atomic_op:
@@ -273,31 +258,36 @@ class StreamingMultiprocessor:
                 issued = self._issue_load_txn(warp, line_addr, mask)
             if not issued:
                 self._stall_retries.add(1)
-                self.sim.schedule(self.RETRY_CYCLES, self._advance_mem_op, warp)
+                warp.parked_at = self.sim.now
+                self._parked.append(warp)
                 return
-            self._epoch += 1
             warp.next_txn += 1
+            if self._parked:
+                self._wake_parked()
         if (warp.is_store_op and not self.blocking_stores) \
                 or warp.outstanding == 0:
             # Stores retire immediately (unless blocking); loads only if
             # everything hit.
             self._warp_ready(warp)
 
-    def _park(self, warp: _Warp, deltas: Tuple[Tuple[Counter, int], ...],
-              touch: Optional[Tuple[ReplacementPolicy, int]] = None) -> None:
-        """Memoize a failed attempt's effects for its retries.  Skipped
-        under introspection, whose per-set hooks only the full lookup
-        path feeds."""
-        if self.l1._insp is None:
-            warp.stall_epoch = self._epoch
-            warp.stall_deltas = deltas
-            warp.stall_touch = touch
+    def _wake_parked(self) -> None:
+        """Re-attempt every parked warp once, each at the first point
+        of its own ``RETRY_CYCLES`` grid after now (the cycle a polling
+        warp would have retried at)."""
+        parked = self._parked
+        self._parked = []
+        now = self.sim.now
+        retry = self.RETRY_CYCLES
+        for warp in parked:
+            self.sim.schedule_at(
+                now + retry - (now - warp.parked_at) % retry,
+                self._advance_mem_op, warp)
 
     # -- loads ------------------------------------------------------------------------
 
     def _issue_load_txn(self, warp: _Warp, line_addr: int, mask: int) -> bool:
-        hit_mask, line = self.l1.lookup_mask(line_addr, mask,
-                                             require_verified=False)
+        hit_mask, _ = self.l1.lookup_mask(line_addr, mask,
+                                          require_verified=False)
         miss_mask = mask & ~hit_mask
         if not miss_mask:
             self._load_txns.add(1)
@@ -309,10 +299,6 @@ class StreamingMultiprocessor:
         entry = self.l1_mshrs.allocate(line_addr, miss_mask,
                                        waiter=lambda: self._load_credit(warp))
         if entry is None:
-            deltas, touch = self.l1.lookup_mask_effects(mask, hit_mask, line)
-            self._park(warp,
-                       deltas + ((self.l1_mshrs.stall_counter(line_addr), 1),),
-                       touch)
             return False
         self._load_txns.add(1)
         warp.outstanding += 1
@@ -344,7 +330,8 @@ class StreamingMultiprocessor:
             lambda: self._on_l2_response(line_addr, mask, token))
 
     def _on_l2_response(self, line_addr: int, mask: int, token=None) -> None:
-        self._epoch += 1
+        if self._parked:
+            self._wake_parked()
         if token is not None:
             self._attributor.complete(token)
         line, evicted = self.l1.allocate(line_addr)
@@ -377,7 +364,8 @@ class StreamingMultiprocessor:
         self._load_credit(warp)
 
     def _release_store_credit(self) -> None:
-        self._epoch += 1
+        if self._parked:
+            self._wake_parked()
         self.store_credits.release()
 
     def _store_ack_cb(self, warp: _Warp) -> Callable[[], None]:
@@ -391,7 +379,6 @@ class StreamingMultiprocessor:
         """Atomics bypass the L1 (they execute at the L2's atomic unit)
         and invalidate any stale L1 copy of the touched sectors."""
         if not self.store_credits.try_acquire():
-            self._park(warp, ((self.store_credits.full_rejections, 1),))
             return False
         self._store_txns.add(1)
         line = self.l1.probe(line_addr)
@@ -409,7 +396,6 @@ class StreamingMultiprocessor:
     def _issue_store_txn(self, warp: _Warp, line_addr: int,
                          mask: int) -> bool:
         if not self.store_credits.try_acquire():
-            self._park(warp, ((self.store_credits.full_rejections, 1),))
             return False
         # Write-through, no-allocate: the L1 copy, if any, is updated in
         # place with no state change.

@@ -366,6 +366,23 @@ def test_compare_live_single_frame_and_session_record(tmp_path, capsys):
     assert log_events.count("cell.done") == 6
 
 
+def test_compare_live_removes_its_temporary_log(tmp_path, monkeypatch,
+                                                capsys):
+    import tempfile
+
+    monkeypatch.setenv("TMPDIR", str(tmp_path))
+    monkeypatch.setattr(tempfile, "tempdir", None)
+    monkeypatch.delenv("REPRO_LOG", raising=False)
+    rc = main(["compare", "-w", "vecadd", "--scale", "0.03", "--no-cache",
+               "--no-ledger", "--live", "--live-interval", "0"])
+    assert rc == 0
+    out = capsys.readouterr().out
+    # The dashboard ran over a temporary log, which is gone afterwards.
+    assert f"live telemetry: log {tmp_path}/repro-live-" in out
+    assert "6/6 cells" in out
+    assert list(tmp_path.glob("repro-live-*")) == []
+
+
 def test_obs_history_json_stable_key_order(seeded_ledger, capsys):
     import json
 

@@ -211,10 +211,12 @@ def record_issues_and_ticks(ch):
 
 
 class TestSchedulerMemo:
-    """The failed-scan memo (``_blocked_until``) must never change an
-    issue cycle or a tick.  Each case keeps a memo live while a
-    ready-bank request in the other queue makes the channel poll every
-    cycle, then changes state the memo depends on.
+    """A failed scan books the channel's next tick for the moment it
+    could succeed (``_blocked_until``, the window's earliest bank-ready
+    time, or the next refresh) and queues nothing else: a ready bank in
+    the other queue does not make the channel poll.  Each case changes
+    the issuable set inside that window and pins every issue cycle and
+    every tick; no tick time appears twice.
 
     Shared set-up: ``A`` is a 16-atom read of bank 0 row 0 issued at 0
     (CAS at t_rcd = 28, so bank 0 is busy until 28 + 16 x t_burst = 60);
@@ -234,7 +236,9 @@ class TestSchedulerMemo:
         # C (bank 1) issues on the tick it arrives, not when B's bank
         # frees up; the write drains after the last read.
         assert issues == [(0, 0), (10, 2048), (60, self.B_ADDR), (60, 4096)]
-        assert ticks == list(range(0, 62))
+        # The enqueue at 10 pulls the tick booked for 60 earlier; the
+        # tick at 10 books 60 again, reusing the queued entry.
+        assert ticks == [0, 10, 60]
 
     def test_refresh_inside_memo_window_clears_memo(self):
         sim = Simulator()
@@ -245,10 +249,10 @@ class TestSchedulerMemo:
         ch.enqueue(read(self.B_ADDR))
         ch.enqueue(write(4096))  # bank 2, ready: read mode polls
         sim.run()
-        # The refresh at 100 blocks every bank until 150, so the
-        # polling stops there and resumes at bank 2's new ready time.
+        # The failed scan at 0 books the refresh at 100, which blocks
+        # every bank until 150; the scan there books bank 0's 156.
         assert issues == [(0, 0), (156, self.B_ADDR), (156, 4096)]
-        assert ticks == list(range(0, 101)) + list(range(150, 158))
+        assert ticks == [0, 100, 156]
         assert ch.stats.flatten()["ch.refreshes"] == 1
 
     def test_write_mode_flip_clears_memo(self):
@@ -267,7 +271,7 @@ class TestSchedulerMemo:
         assert issues == ([(0, 0)] + [(10, a) for a in writes[:16]]
                           + [(60, self.B_ADDR)]
                           + [(60, a) for a in writes[16:]])
-        assert ticks == list(range(0, 62))
+        assert ticks == [0, 10, 60]
 
 
 class TestInlineLayout:

@@ -13,6 +13,11 @@ counter on purpose is a model change: bump ``MODEL_VERSION`` and
 regenerate the file with::
 
     PYTHONPATH=src python tests/test_event_golden.py --write
+
+The file records the ``MODEL_VERSION`` it was written under.  The test
+fails when that differs from the current one (a bump without a
+regenerated golden), and ``--write`` refuses to change a digest without
+a bump (a regenerated golden without one).
 """
 
 from __future__ import annotations
@@ -26,6 +31,7 @@ from typing import Dict, Tuple
 import pytest
 
 from repro.analysis.harness import bench_config, bench_gen_ctx
+from repro.core.results import MODEL_VERSION
 from repro.core.system import GpuSystem
 from repro.obs.hub import Observability
 from repro.obs.inspect import MemoryInspector
@@ -88,13 +94,27 @@ def test_golden_covers_every_cell():
     assert sorted(_golden()) == sorted(CELLS)
 
 
+def test_golden_matches_model_version():
+    written = json.loads(GOLDEN.read_text())["model_version"]
+    assert written == MODEL_VERSION, (
+        f"{GOLDEN.name} was written under model v{written}, the model is "
+        f"v{MODEL_VERSION}: regenerate it")
+
+
 if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         sys.exit(f"usage: {sys.argv[0]} --write")
     GOLDEN.parent.mkdir(exist_ok=True)
     payload = {
-        "scale": SCALE, "seed": SEED,
+        "scale": SCALE, "seed": SEED, "model_version": MODEL_VERSION,
         "digests": {cell: digest(run_cell(cell)) for cell in sorted(CELLS)},
     }
+    if GOLDEN.exists():
+        old = json.loads(GOLDEN.read_text())
+        moved = sorted(cell for cell, value in payload["digests"].items()
+                       if old["digests"].get(cell) != value)
+        if moved and old.get("model_version") == MODEL_VERSION:
+            sys.exit(f"{len(moved)} cells moved ({', '.join(moved)}) under "
+                     f"unchanged MODEL_VERSION {MODEL_VERSION}: bump it")
     GOLDEN.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     print(f"wrote {len(payload['digests'])} digests to {GOLDEN}")
